@@ -12,7 +12,6 @@ from .errors import DataError, InfeasibleFitError, NsimError, UsageError
 from .estimator import (
     CvReport,
     FittedNsim,
-    baseline_knn,
     baseline_knn_many,
     baseline_linreg,
     cross_validate,
@@ -23,7 +22,6 @@ from .estimator import (
     model_from_dict,
     model_to_dict,
     model_to_json,
-    predict,
     predict_many,
     save_model,
     two_thirds_k,
@@ -44,20 +42,18 @@ from .geometry import (
     curve_point,
     curve_tangent,
     generate,
-    geodesic_distance,
     link_function,
     make_curve,
 )
-from .linalg import cross_covariance, pseudo_inverse, sample_covariance, sample_mean
-from .metric import neighbor_order, proxy_distance, proxy_distances
+from .linalg import cross_covariance, pseudo_inverse, sample_covariance
+from .metric import neighbor_order, proxy_distances
 from .partition import (
     ResponseInterval,
     ResponsePartition,
     dyadic_partition,
     equiblock_partition,
-    locate,
 )
-from .tangents import TangentField, assign_tangent, fit_tangents, grammian
+from .tangents import TangentField, fit_tangents, grammian
 
 __version__ = "0.1.0"
 
@@ -77,8 +73,6 @@ __all__ = [
     "SynthSample",
     "TangentField",
     "UsageError",
-    "assign_tangent",
-    "baseline_knn",
     "baseline_knn_many",
     "baseline_linreg",
     "cross_covariance",
@@ -92,20 +86,16 @@ __all__ = [
     "fit_split",
     "fit_tangents",
     "generate",
-    "geodesic_distance",
     "grammian",
     "linreg_predict",
     "link_function",
     "load_model",
-    "locate",
     "make_curve",
     "model_from_dict",
     "model_to_dict",
     "model_to_json",
     "neighbor_order",
-    "predict",
     "predict_many",
-    "proxy_distance",
     "proxy_distances",
     "pseudo_inverse",
     "real_benchmark",
@@ -113,7 +103,6 @@ __all__ = [
     "rmse_tangent",
     "run_schedule",
     "sample_covariance",
-    "sample_mean",
     "save_model",
     "two_thirds_k",
 ]

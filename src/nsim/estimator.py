@@ -125,26 +125,11 @@ def fit_split(
         raise type(exc)(f"J={j_count}: {exc}") from exc
 
     geo_assign = partition.sample_groups()
-    geo_model = FittedNsim(
-        partition=partition,
-        tangents=tangents,
-        train=geometry_half,
-        k=int(k),
-        eta=eta,
-        partition_kind=partition_kind,
-        tangent_assignment=geo_assign,
+    picks = _ranked_picks(
+        prediction_half.features, geometry_half.features, 1, (tangents.vectors, geo_assign), eta
     )
-    offsets, cand_sq = _model_candidate_cache(geo_model)
-    assignment = np.empty(prediction_half.n, dtype=np.intp)
-    for start, stop in _query_chunks(prediction_half.n, geometry_half.n):
-        dist, eucl2 = _proxy_block(prediction_half.features[start:stop], geo_model, offsets, cand_sq)
-        # argmin takes the first minimum, i.e. the lowest index on ties
-        i_star = np.argmin(dist, axis=1)
-        if eucl2 is not None:
-            no_finite = ~np.isfinite(dist).any(axis=1)
-            if no_finite.any():
-                i_star[no_finite] = np.argmin(eucl2[no_finite], axis=1)
-        assignment[start:stop] = geo_assign[i_star]
+    nearest = np.fromiter((p[0] for p in picks), dtype=np.intp, count=prediction_half.n)
+    assignment = geo_assign[nearest]
 
     return FittedNsim(
         partition=partition,
@@ -187,69 +172,66 @@ def _euclidean_sq_block(queries, candidates, cand_sq) -> np.ndarray:
     return out
 
 
-def _proxy_block(queries, model: FittedNsim, cand_offsets, cand_sq):
-    """Proxy distances for a query block.
+def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
+    """Yield, per query row, the indices of its k nearest training rows in
+    (distance, index) order, so ties go to the lower index.
 
-    Per candidate, |a_i^T (x - X_i)| = |a_i^T x - a_i^T X_i| with the second
-    dot product precomputed once per model, so a query costs O(N + J D) plus
-    the Euclidean radius check.
+    With ``proxy = (vectors, assignment)`` the distance to row i is the
+    restricted proxy metric |a_i^T (x - X_i)| with a_i = vectors[assignment[i]],
+    computed as |a_i^T x - a_i^T X_i| with the second dot product taken once,
+    so a query costs O(N + J D) plus the Euclidean radius check.  Without it
+    the distance is Euclidean.  Fewer than k rows inside the radius eta are
+    all picked; with none, the Euclidean-nearest row alone is.
     """
-    proj = queries @ model.tangents.vectors.T
-    dist = np.abs(proj[:, model.tangent_assignment] - cand_offsets[None, :])
-    if math.isinf(model.eta):
-        return dist, None
-    eucl2 = _euclidean_sq_block(queries, model.train.features, cand_sq)
-    dist[eucl2 > model.eta * model.eta] = np.inf
-    return dist, eucl2
-
-
-def _smallest_indices(dist_row, take: int) -> np.ndarray:
-    """Indices of the ``take`` smallest entries, ties toward lower index."""
-    kth = np.partition(dist_row, take - 1)[take - 1]
-    pool = np.flatnonzero(dist_row <= kth)  # ascending index order
-    return pool[np.argsort(dist_row[pool], kind="stable")][:take]
-
-
-def _model_candidate_cache(model: FittedNsim):
-    train_x = model.train.features
-    offsets = np.einsum("nd,nd->n", train_x, model.tangent_rows())
-    cand_sq = None
-    if not math.isinf(model.eta):
-        cand_sq = np.einsum("nd,nd->n", train_x, train_x)
-    return offsets, cand_sq
+    n = train_x.shape[0]
+    clipped = proxy is not None and not math.isinf(eta)
+    cand_sq = np.einsum("nd,nd->n", train_x, train_x) if proxy is None or clipped else None
+    if proxy is not None:
+        vectors, assignment = proxy
+        offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
+    for start, stop in _query_chunks(queries.shape[0], n):
+        block = queries[start:stop]
+        if proxy is None:
+            dist = _euclidean_sq_block(block, train_x, cand_sq)
+        else:
+            dist = np.abs((block @ vectors.T)[:, assignment] - offsets[None, :])
+            if clipped:
+                eucl2 = _euclidean_sq_block(block, train_x, cand_sq)
+                dist[eucl2 > eta * eta] = np.inf
+        if k == 1:
+            # argmin takes the first minimum, i.e. the lowest index on ties
+            nearest = np.argmin(dist, axis=1)
+            if clipped:
+                empty = ~np.isfinite(dist).any(axis=1)
+                if empty.any():
+                    nearest[empty] = np.argmin(eucl2[empty], axis=1)
+            yield from nearest[:, None]
+            continue
+        in_radius = np.isfinite(dist).sum(axis=1) if clipped else np.full(stop - start, n)
+        for i, row in enumerate(dist):
+            take = min(k, int(in_radius[i]))
+            if take == 0:
+                yield np.argmin(eucl2[i], keepdims=True)
+                continue
+            kth = np.partition(row, take - 1)[take - 1]
+            pool = np.flatnonzero(row <= kth)  # ascending index order
+            yield pool[np.argsort(row[pool], kind="stable")][:take]
 
 
 def predict_many(model: FittedNsim, queries) -> np.ndarray:
-    """Prediction for each query row; see ``predict``."""
-    xs = _as_queries(queries, model.train.d)
-    responses = model.train.responses
-    offsets, cand_sq = _model_candidate_cache(model)
-    k = model.k
-    out = np.empty(xs.shape[0])
-    for start, stop in _query_chunks(xs.shape[0], model.train.n):
-        dist, eucl2 = _proxy_block(xs[start:stop], model, offsets, cand_sq)
-        finite_counts = (
-            np.full(stop - start, dist.shape[1])
-            if eucl2 is None
-            else np.isfinite(dist).sum(axis=1)
-        )
-        for i in range(stop - start):
-            n_finite = int(finite_counts[i])
-            if n_finite == 0:
-                out[start + i] = responses[int(np.argmin(eucl2[i]))]
-            else:
-                sel = _smallest_indices(dist[i], min(k, n_finite))
-                out[start + i] = responses[sel].mean()
-    return out
-
-
-def predict(model: FittedNsim, x) -> float:
-    """Mean response of the k proxy-metric-nearest training samples.
+    """Mean response of the k proxy-metric-nearest training samples, per
+    query row.
 
     Fewer than k candidates inside the restricting radius are averaged as-is;
     with none, the Euclidean-nearest training response is returned.
     """
-    return float(predict_many(model, x)[0])
+    xs = _as_queries(queries, model.train.d)
+    picks = _ranked_picks(
+        xs, model.train.features, model.k, (model.tangents.vectors, model.tangent_assignment),
+        model.eta,
+    )
+    responses = model.train.responses
+    return np.fromiter((responses[p].mean() for p in picks), dtype=np.float64, count=len(xs))
 
 
 @dataclass(frozen=True)
@@ -391,19 +373,8 @@ def baseline_knn_many(data: Dataset, queries, k: int) -> np.ndarray:
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     xs = _as_queries(queries, data.d)
-    k_eff = min(int(k), data.n)
-    cand_sq = np.einsum("nd,nd->n", data.features, data.features)
-    out = np.empty(xs.shape[0])
-    for start, stop in _query_chunks(xs.shape[0], data.n):
-        eucl2 = _euclidean_sq_block(xs[start:stop], data.features, cand_sq)
-        for i in range(stop - start):
-            sel = _smallest_indices(eucl2[i], k_eff)
-            out[start + i] = data.responses[sel].mean()
-    return out
-
-
-def baseline_knn(data: Dataset, x, k: int) -> float:
-    return float(baseline_knn_many(data, x, k)[0])
+    picks = _ranked_picks(xs, data.features, min(int(k), data.n))
+    return np.fromiter((data.responses[p].mean() for p in picks), dtype=np.float64, count=len(xs))
 
 
 def baseline_linreg(data: Dataset) -> tuple[np.ndarray, float]:
@@ -460,38 +431,71 @@ def model_to_json(model: FittedNsim) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True)
 
 
+_MODEL_KEYS = (
+    "partition_kind", "intervals", "tangents", "level_means_x", "level_means_y", "counts",
+    "tangent_assignment", "train_features", "train_responses", "k", "eta",
+)
+
+
 def model_from_dict(doc: dict) -> FittedNsim:
     """Rebuild a model from its JSON document.
 
     Groups are reconstructed from the tangent assignment; for split models
     they index the retained prediction half rather than the discarded
-    geometry half.
+    geometry half.  A document with a missing key, k < 1, eta <= 0, a
+    tangent matrix that is not J x D, or an assignment that does not give
+    every training row a level set in [0, J) raises ``DataError``.
     """
+    if not isinstance(doc, dict):
+        raise DataError("model document is not a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {doc.get('version')!r}")
-    intervals = tuple(
-        ResponseInterval(float(lo), float(hi), bool(closed))
-        for lo, hi, closed in doc["intervals"]
-    )
-    assignment = np.asarray(doc["tangent_assignment"], dtype=np.intp)
-    groups = tuple(np.flatnonzero(assignment == j) for j in range(len(intervals)))
-    partition = ResponsePartition(intervals, groups)
-    tangents = TangentField(
-        vectors=np.asarray(doc["tangents"], dtype=np.float64),
-        level_means_x=np.asarray(doc["level_means_x"], dtype=np.float64),
-        level_means_y=np.asarray(doc["level_means_y"], dtype=np.float64),
-        counts=np.asarray(doc["counts"], dtype=np.intp),
-    )
-    train = Dataset(
-        np.asarray(doc["train_features"], dtype=np.float64),
-        np.asarray(doc["train_responses"], dtype=np.float64),
-    )
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise DataError(f"model document lacks {', '.join(missing)}")
+    try:
+        intervals = tuple(
+            ResponseInterval(float(lo), float(hi), bool(closed))
+            for lo, hi, closed in doc["intervals"]
+        )
+        assignment = np.asarray(doc["tangent_assignment"], dtype=np.intp)
+        tangents = TangentField(
+            vectors=np.asarray(doc["tangents"], dtype=np.float64),
+            level_means_x=np.asarray(doc["level_means_x"], dtype=np.float64),
+            level_means_y=np.asarray(doc["level_means_y"], dtype=np.float64),
+            counts=np.asarray(doc["counts"], dtype=np.intp),
+        )
+        train = Dataset(
+            np.asarray(doc["train_features"], dtype=np.float64),
+            np.asarray(doc["train_responses"], dtype=np.float64),
+        )
+        k = int(doc["k"])
+        eta = _eta_from_json(doc["eta"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed model document: {exc}") from exc
+    if k < 1:
+        raise DataError(f"model k must be >= 1, got {k}")
+    if not eta > 0:
+        raise DataError(f"model eta must be positive, got {eta}")
+    j_count = len(intervals)
+    if tangents.vectors.shape != (j_count, train.d):
+        raise DataError(
+            f"tangents of shape {tangents.vectors.shape} do not fit {j_count} level sets "
+            f"in dimension {train.d}"
+        )
+    if assignment.shape != (train.n,):
+        raise DataError(
+            f"tangent_assignment has shape {assignment.shape} for {train.n} training rows"
+        )
+    if assignment.min() < 0 or assignment.max() >= j_count:
+        raise DataError(f"tangent_assignment entries must lie in [0, {j_count})")
+    groups = tuple(np.flatnonzero(assignment == j) for j in range(j_count))
     return FittedNsim(
-        partition=partition,
+        partition=ResponsePartition(intervals, groups),
         tangents=tangents,
         train=train,
-        k=int(doc["k"]),
-        eta=_eta_from_json(doc["eta"]),
+        k=k,
+        eta=eta,
         partition_kind=str(doc["partition_kind"]),
         tangent_assignment=assignment,
         algorithm=str(doc.get("algorithm", "unsplit")),

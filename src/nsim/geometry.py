@@ -1,5 +1,5 @@
 """Synthetic curve problems: unit-speed curves, tubular feature noise, a
-monotone link function, and the geodesic/tangent oracle used for evaluation.
+monotone link function, and the tangent oracle used for evaluation.
 
 All three curves are arc-length parametrized, so the geodesic distance
 between curve points is plainly |t1 - t2|:
@@ -98,11 +98,6 @@ def curve_tangent(curve: ParametricCurve, t) -> np.ndarray:
         u = ts / _SQRT2
         tans = np.stack([-np.sin(u), np.cos(u), np.ones_like(u)], axis=1) / _SQRT2
     return tans[0] if arr.ndim == 0 else tans
-
-
-def geodesic_distance(curve: ParametricCurve, t1: float, t2: float) -> float:
-    """|t1 - t2| under arc-length parametrization."""
-    return abs(float(t1) - float(t2))
 
 
 def link_function(t, interval_length: float):

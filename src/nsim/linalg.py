@@ -22,11 +22,6 @@ def _as_matrix(rows) -> np.ndarray:
     return arr
 
 
-def sample_mean(rows) -> np.ndarray:
-    """Column-wise arithmetic mean of a non-empty sample matrix."""
-    return _as_matrix(rows).mean(axis=0)
-
-
 def sample_covariance(rows) -> np.ndarray:
     """(1/n) * sum_i (x_i - mean)(x_i - mean)^T; symmetric PSD by construction."""
     arr = _as_matrix(rows)

@@ -45,13 +45,6 @@ def proxy_distances(x, candidates, tangents, eta: float) -> np.ndarray:
     return np.where(within, proj, np.inf)
 
 
-def proxy_distance(x, xi, a_hat_xi, eta: float) -> float:
-    """|a_hat_xi^T (x - xi)| when ||x - xi|| <= eta, else infinity."""
-    xi = np.asarray(xi, dtype=np.float64)
-    a = np.asarray(a_hat_xi, dtype=np.float64)
-    return float(proxy_distances(x, xi[None, :], a[None, :], eta)[0])
-
-
 def neighbor_order(x, candidates, tangents, eta: float, k: int) -> np.ndarray:
     """Indices of the k smallest finite proxy distances, ascending.
 

@@ -6,7 +6,8 @@ response sequence.  Intervals are right-open except the last; group
 membership is decided against the same boundary array used to build the
 intervals, so the two views never disagree on continuous data.  When equal
 response values straddle an equiblock boundary, the block assignment is
-authoritative and ``locate`` may map that exact value to the upper group.
+authoritative: a sample's group may then differ from the interval that the
+right-open rule gives for its response value.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ class ResponseInterval:
     lower: float
     upper: float
     closed_upper: bool
-
-    def contains(self, y: float) -> bool:
-        if self.closed_upper:
-            return self.lower <= y <= self.upper
-        return self.lower <= y < self.upper
 
 
 @dataclass(frozen=True)
@@ -51,9 +47,6 @@ class ResponsePartition:
         for j, idx in enumerate(self.groups):
             out[idx] = j
         return out
-
-    def inner_boundaries(self) -> np.ndarray:
-        return np.array([iv.lower for iv in self.intervals[1:]], dtype=np.float64)
 
 
 def _validated_responses(responses) -> np.ndarray:
@@ -117,11 +110,3 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     for j, cut in enumerate(splits):
         edges[j + 1] = (arr[order[cut - 1]] + arr[order[cut]]) / 2.0
     return ResponsePartition(_intervals_from_edges(edges), groups)
-
-
-def locate(partition: ResponsePartition, y: float) -> int:
-    """Index of the interval containing y, clamped at the range ends.
-
-    Shared boundary values map to the higher interval (right-open rule).
-    """
-    return int(np.searchsorted(partition.inner_boundaries(), y, side="right"))

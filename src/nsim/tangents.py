@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, InfeasibleFitError
+from .errors import InfeasibleFitError
 from .linalg import cross_covariance, pseudo_inverse, sample_covariance
 from .partition import ResponsePartition
 
@@ -85,13 +85,3 @@ def grammian(field: TangentField) -> np.ndarray:
     g = (g + g.T) / 2.0
     np.fill_diagonal(g, 1.0)  # rows are unit vectors; pin the 1-ulp residue
     return g
-
-
-def assign_tangent(
-    field: TangentField, partition: ResponsePartition, sample_index: int
-) -> np.ndarray:
-    """Index vector of the level set containing the given training sample."""
-    n = partition.n_samples
-    if not 0 <= sample_index < n:
-        raise DataError(f"sample index {sample_index} out of range [0, {n})")
-    return field.vectors[partition.sample_groups()[sample_index]]

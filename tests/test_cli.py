@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsim
 from nsim.cli import main
 from nsim.data import Dataset
 from nsim.errors import DataError
@@ -148,6 +153,23 @@ class TestSynthCommand:
         assert "[usage]" in capsys.readouterr().err
 
 
+def _set_first_assignment(doc, value):
+    doc["tangent_assignment"][0] = value
+
+
+MODEL_CORRUPTIONS = {
+    "missing-k": lambda doc: doc.pop("k"),
+    "k-zero": lambda doc: doc.update(k=0),
+    "k-negative": lambda doc: doc.update(k=-2),
+    "eta-negative": lambda doc: doc.update(eta=-1),
+    "assignment-truncated": lambda doc: doc.update(
+        tangent_assignment=doc["tangent_assignment"][:-1]
+    ),
+    "assignment-entry-at-j": lambda doc: _set_first_assignment(doc, len(doc["tangents"])),
+    "assignment-entry-negative": lambda doc: _set_first_assignment(doc, -1),
+}
+
+
 class TestFitPredictCommands:
     def test_interpolation_end_to_end(self, tmp_path, monkeypatch, synth_files):
         data, _ = synth_files
@@ -206,6 +228,33 @@ class TestFitPredictCommands:
         )
         assert code == 3
         assert "[infeasible-fit]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+    def test_corrupted_model_is_a_data_error(
+        self, tmp_path, monkeypatch, synth_files, corruption
+    ):
+        data, _ = synth_files
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "fit", "--data", data, "--J", 2, "--k", 3, "--eta", 0.5,
+            "--out", model, monkeypatch=monkeypatch,
+        ) == 0
+        doc = json.loads(model.read_text())
+        MODEL_CORRUPTIONS[corruption](doc)
+        model.write_text(json.dumps(doc))
+        queries = write_csv(tmp_path / "q.csv", "a,b,c,d\n0.1,0.2,0.3,0.4\n")
+
+        src = Path(nsim.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsim.cli", "predict", "--model", str(model),
+             "--data", str(queries), "--out", str(tmp_path / "p.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "nsim: error [data]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_data_file_exit_code(self, tmp_path, monkeypatch, capsys):
         code = run_cli(

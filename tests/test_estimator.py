@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsim import estimator
 from nsim.data import Dataset
 from nsim.errors import DataError, InfeasibleFitError, UsageError
 from nsim.estimator import (
-    baseline_knn,
     baseline_knn_many,
     baseline_linreg,
     cross_validate,
@@ -17,11 +20,11 @@ from nsim.estimator import (
     model_from_dict,
     model_to_dict,
     model_to_json,
-    predict,
     predict_many,
     two_thirds_k,
 )
 from nsim.geometry import SynthConfig, generate, make_curve
+from nsim.metric import proxy_distances
 
 
 def synth(kind="line", d=4, n=200, seed=5, c=0.0):
@@ -91,17 +94,17 @@ class TestPredict:
     def test_k1_at_training_point_returns_its_response(self):
         data = line_dataset()
         model = fit(data, 2, 1)
-        assert predict(model, data.features[7]) == data.responses[7]
+        assert predict_many(model, data.features[7])[0] == data.responses[7]
 
     def test_k2_averages_two_nearest(self):
         data = Dataset([[0.0], [1.0], [10.0]], [1.0, 3.0, 50.0])
         model = fit(data, 1, 2)
-        assert predict(model, np.array([0.4])) == 2.0
+        assert predict_many(model, np.array([0.4]))[0] == 2.0
 
     def test_k_equal_n_with_shared_tangent_gives_global_mean(self):
         data = line_dataset()
         model = fit(data, 1, data.n)
-        value = predict(model, np.array([0.3, 0.3, 0.3]))
+        value = predict_many(model, np.array([0.3, 0.3, 0.3]))[0]
         assert np.isclose(value, data.responses.mean(), atol=1e-12)
 
     def test_noise_free_interpolation_all_training_points(self):
@@ -134,12 +137,12 @@ class TestPredict:
     def test_fallback_uses_euclidean_nearest_when_radius_empty(self):
         data = Dataset([[0.0], [1.0], [5.0]], [1.0, 2.0, 9.0])
         model = fit(data, 1, 1, eta=0.5)
-        assert predict(model, np.array([100.0])) == 9.0
+        assert predict_many(model, np.array([100.0]))[0] == 9.0
 
     def test_fewer_than_k_finite_neighbors_are_averaged(self):
         data = Dataset([[0.0], [0.2], [50.0]], [1.0, 2.0, 100.0])
         model = fit(data, 1, 3, eta=1.0)
-        assert predict(model, np.array([0.1])) == 1.5
+        assert predict_many(model, np.array([0.1]))[0] == 1.5
 
     def test_response_shift_equivariance_equiblock(self):
         dataset, _ = synth(n=120, seed=9, c=0.1)
@@ -152,6 +155,84 @@ class TestPredict:
         assert np.allclose(
             predict_many(shifted, queries), predict_many(base, queries) + 13.25, atol=1e-12
         )
+
+
+def _int_rows(draw, count, d, lo, hi):
+    rows = st.lists(st.integers(lo, hi), min_size=d, max_size=d)
+    return np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=np.float64)
+
+
+@st.composite
+def tied_problems(draw):
+    """Integer grid points with duplicated rows, a model whose signed
+    tangents are axis-aligned, and half-integer queries, so every distance
+    on both sides is exact and ties are frequent."""
+    d = draw(st.integers(1, 3))
+    unique = _int_rows(draw, draw(st.integers(1, 8)), d, -2, 2)
+    copies = draw(st.lists(st.integers(0, len(unique) - 1), max_size=6))
+    features = np.vstack([unique, unique[copies]])
+    n = len(features)
+    j_count = draw(st.integers(1, 3))
+    vectors = np.zeros((j_count, d))
+    for j in range(j_count):
+        vectors[j, draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    eta = draw(st.sampled_from([1.5, 2.5, math.inf]))
+    doc = {
+        "version": 1,
+        "partition_kind": "dyadic",
+        "intervals": [[j, j + 1, j == j_count - 1] for j in range(j_count)],
+        "tangents": vectors.tolist(),
+        "level_means_x": np.zeros((j_count, d)).tolist(),
+        "level_means_y": [0.0] * j_count,
+        "counts": [0] * j_count,
+        "tangent_assignment": draw(
+            st.lists(st.integers(0, j_count - 1), min_size=n, max_size=n)
+        ),
+        "train_features": features.tolist(),
+        "train_responses": draw(
+            st.lists(st.floats(-100, 100, allow_nan=False), min_size=n, max_size=n)
+        ),
+        "k": draw(st.integers(1, n + 2)),
+        "eta": "inf" if math.isinf(eta) else eta,
+    }
+    queries = _int_rows(draw, draw(st.integers(1, 8)), d, -8, 8) / 2.0
+    # small scratch budgets split the queries over several chunks
+    budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
+    return model_from_dict(doc), queries, budget
+
+
+def brute_force_predictions(model, queries):
+    train = model.train
+    rows = model.tangents.vectors[model.tangent_assignment]
+    out = []
+    for x in queries:
+        dist = proxy_distances(x, train.features, rows, model.eta)
+        in_radius = int(np.isfinite(dist).sum())
+        if in_radius == 0:
+            picks = np.argsort(((train.features - x) ** 2).sum(axis=1), kind="stable")[:1]
+        else:
+            picks = np.argsort(dist, kind="stable")[: min(model.k, in_radius)]
+        out.append(train.responses[picks].mean())
+    return np.array(out)
+
+
+def brute_force_knn(data, queries, k):
+    out = []
+    for x in queries:
+        eucl = ((data.features - x) ** 2).sum(axis=1)
+        out.append(data.responses[np.argsort(eucl, kind="stable")[: min(k, data.n)]].mean())
+    return np.array(out)
+
+
+@given(tied_problems())
+@settings(max_examples=200, deadline=None)
+def test_neighbour_search_matches_brute_force_with_ties(problem):
+    model, queries, budget = problem
+    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+        got = predict_many(model, queries)
+        got_knn = baseline_knn_many(model.train, queries, model.k)
+    assert np.array_equal(got, brute_force_predictions(model, queries))
+    assert np.array_equal(got_knn, brute_force_knn(model.train, queries, model.k))
 
 
 class TestFitSplit:
@@ -176,8 +257,6 @@ class TestFitSplit:
         prediction, _ = synth(n=40, seed=6)
         split = fit_split(geometry, prediction, 2, 1, eta=0.5)
         geo_groups = split.partition.sample_groups()
-        from nsim.metric import proxy_distances
-
         rows = split.tangents.vectors[geo_groups]
         for ell in range(prediction.n):
             dist = proxy_distances(prediction.features[ell], geometry.features, rows, 0.5)
@@ -260,19 +339,20 @@ class TestCrossValidate:
 class TestBaselineKnn:
     def test_k1_at_training_point(self):
         data = line_dataset()
-        assert baseline_knn(data, data.features[3], 1) == data.responses[3]
+        assert baseline_knn_many(data, data.features[3], 1)[0] == data.responses[3]
 
     def test_k_equal_n_is_global_mean(self):
         data = line_dataset()
-        assert np.isclose(baseline_knn(data, np.zeros(3), data.n), data.responses.mean())
+        value = baseline_knn_many(data, np.zeros(3), data.n)[0]
+        assert np.isclose(value, data.responses.mean())
 
     def test_midpoint_tie_takes_lower_index(self):
         data = Dataset([[0.0], [2.0]], [5.0, 9.0])
-        assert baseline_knn(data, np.array([1.0]), 1) == 5.0
+        assert baseline_knn_many(data, np.array([1.0]), 1)[0] == 5.0
 
     def test_k_larger_than_n_clamps(self):
         data = Dataset([[0.0], [2.0]], [5.0, 9.0])
-        assert baseline_knn(data, np.array([0.0]), 10) == 7.0
+        assert baseline_knn_many(data, np.array([0.0]), 10)[0] == 7.0
 
 
 class TestBaselineLinreg:

@@ -10,7 +10,6 @@ from nsim.geometry import (
     curve_point,
     curve_tangent,
     generate,
-    geodesic_distance,
     link_function,
     make_curve,
     true_link_values,
@@ -81,19 +80,16 @@ class TestCurveTangents:
 
 
 class TestGeodesicDistance:
-    def test_zero_at_equal_parameters(self):
-        assert geodesic_distance(make_curve("helix"), 1.3, 1.3) == 0.0
-
     def test_line_matches_euclidean(self):
         curve = make_curve("line")
-        assert geodesic_distance(curve, 0.0, 1.0) == 1.0
+        # unit speed: the arc length |1 - 0| is also the chord
         assert np.isclose(
             np.linalg.norm(curve_point(curve, 1.0) - curve_point(curve, 0.0)), 1.0
         )
 
     def test_s_curve_end_to_end_exceeds_euclidean(self):
         curve = make_curve("s_curve")
-        geo = geodesic_distance(curve, -math.pi / 2, math.pi / 2)
+        geo = curve.length  # arc length between the two end points
         euec = np.linalg.norm(
             curve_point(curve, math.pi / 2) - curve_point(curve, -math.pi / 2)
         )

@@ -6,36 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsim.errors import DataError, InfeasibleFitError, UsageError
-from nsim.metric import neighbor_order, proxy_distance, proxy_distances
+from nsim.metric import neighbor_order, proxy_distances
 
 
 class TestProxyDistance:
     def test_axis_aligned(self):
-        assert proxy_distance([0, 0], [1, 0], [1, 0], 2.0) == 1.0
+        assert proxy_distances([0, 0], [[1, 0]], [[1, 0]], 2.0)[0] == 1.0
 
     def test_outside_restricting_radius(self):
-        assert proxy_distance([0, 0], [1, 0], [1, 0], 0.5) == math.inf
+        assert proxy_distances([0, 0], [[1, 0]], [[1, 0]], 0.5)[0] == math.inf
 
     def test_projection_onto_second_axis(self):
-        assert proxy_distance([0, 0], [1, 1], [0, 1], math.inf) == 1.0
+        assert proxy_distances([0, 0], [[1, 1]], [[0, 1]], math.inf)[0] == 1.0
 
     def test_boundary_is_included(self):
-        assert proxy_distance([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], 1.0) == 0.0
+        assert proxy_distances([0.0, 0.0], [[1.0, 0.0]], [[0.0, 1.0]], 1.0)[0] == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError):
-            proxy_distance([0, 0, 0], [1, 0], [1, 0], 1.0)
+            proxy_distances([0, 0, 0], [[1, 0]], [[1, 0]], 1.0)
 
     def test_asymmetry_with_distinct_tangents(self):
         # the metric depends on the tangent attached to the candidate
         x, xi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        d_forward = proxy_distance(x, xi, [1.0, 0.0], math.inf)
-        d_backward = proxy_distance(xi, x, [0.0, 1.0], math.inf)
+        d_forward = proxy_distances(x, [xi], [[1.0, 0.0]], math.inf)[0]
+        d_backward = proxy_distances(xi, [x], [[0.0, 1.0]], math.inf)[0]
         assert d_forward == d_backward == 1.0  # equal here, but by two projections
 
     def test_bad_eta_rejected(self):
         with pytest.raises(UsageError):
-            proxy_distance([0.0], [1.0], [1.0], 0.0)
+            proxy_distances([0.0], [[1.0]], [[1.0]], 0.0)
 
 
 class TestNeighborOrder:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsim.errors import DataError, UsageError
-from nsim.partition import dyadic_partition, equiblock_partition, locate
+from nsim.partition import dyadic_partition, equiblock_partition
 
 
 def groups_as_sets(partition):
@@ -82,22 +82,16 @@ class TestEquiblock:
 
 
 class TestLocate:
-    def test_interior_point(self):
-        part = dyadic_partition(np.linspace(0, 1, 50), 5)
-        assert locate(part, 0.45) == 2
+    """Which group a response value lands in: the interval holding it under
+    the right-open rule."""
 
-    def test_clamps_below_and_above(self):
-        part = dyadic_partition(np.linspace(0, 1, 50), 5)
-        assert locate(part, -3.0) == 0
-        assert locate(part, 7.0) == 4
+    def test_interior_point(self):
+        part = dyadic_partition(np.append(np.linspace(0, 1, 50), 0.45), 5)
+        assert part.sample_groups()[-1] == 2
 
     def test_shared_boundary_goes_up(self):
         part = dyadic_partition([0.0, 0.25, 0.5, 0.75, 1.0], 4)
-        assert locate(part, 0.5) == 2
-
-    def test_equiblock_boundary_goes_up(self):
-        part = equiblock_partition([1.0, 2.0, 3.0, 4.0], 2)
-        assert locate(part, 2.5) == 1
+        assert part.sample_groups()[2] == 2
 
 
 @st.composite
@@ -136,6 +130,21 @@ class TestPartitionProperties:
     @given(responses_and_j(unique=True))
     @settings(max_examples=150, deadline=None)
     def test_locate_agrees_with_membership(self, case):
+        # locating a value by bisecting the inner interval boundaries
+        # (right-open rule: a shared boundary opens the upper interval)
+        # gives each sample's group, on both partitions
+        responses, j_count = case
+        for part in (
+            dyadic_partition(responses, j_count),
+            equiblock_partition(responses, j_count),
+        ):
+            inner = np.array([iv.lower for iv in part.intervals[1:]])
+            located = np.searchsorted(inner, responses, side="right")
+            assert np.array_equal(located, part.sample_groups())
+
+    @given(responses_and_j(unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_groups_match_interval_containment(self, case):
         # documented caveat: equiblock ties straddling a block boundary make
         # the block assignment authoritative, so this holds on unique values
         responses, j_count = case
@@ -145,13 +154,5 @@ class TestPartitionProperties:
         ):
             member = part.sample_groups()
             for i, y in enumerate(responses):
-                assert locate(part, y) == member[i]
-
-    @given(responses_and_j(unique=True))
-    @settings(max_examples=100, deadline=None)
-    def test_groups_match_interval_containment(self, case):
-        responses, j_count = case
-        part = dyadic_partition(responses, j_count)
-        member = part.sample_groups()
-        for i, y in enumerate(responses):
-            assert part.intervals[member[i]].contains(y)
+                iv = part.intervals[member[i]]
+                assert iv.lower <= y and (y <= iv.upper if iv.closed_upper else y < iv.upper)

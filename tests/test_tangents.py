@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nsim.data import Dataset
-from nsim.errors import DataError, InfeasibleFitError
+from nsim.errors import InfeasibleFitError
 from nsim.partition import dyadic_partition, equiblock_partition
-from nsim.tangents import assign_tangent, fit_tangents, grammian
+from nsim.estimator import fit
+from nsim.tangents import fit_tangents, grammian
 
 
 def line_dataset(n=60, noise=0.0, seed=11):
@@ -147,29 +148,19 @@ class TestGrammian:
 class TestAssignTangent:
     def test_group_zero(self):
         data, _ = line_dataset()
-        part = equiblock_partition(data.responses, 2)
-        field = fit_tangents(data, part)
-        idx = part.groups[0][0]
-        assert np.array_equal(assign_tangent(field, part, int(idx)), field.vectors[0])
+        model = fit(data, 2, 1, partition_kind="equiblock")
+        idx = model.partition.groups[0][0]
+        assert np.array_equal(model.tangent_rows()[idx], model.tangents.vectors[0])
 
     def test_single_group_always_first_vector(self):
         data, _ = line_dataset()
-        part = dyadic_partition(data.responses, 1)
-        field = fit_tangents(data, part)
+        model = fit(data, 1, 1)
         for i in range(data.n):
-            assert np.array_equal(assign_tangent(field, part, i), field.vectors[0])
+            assert np.array_equal(model.tangent_rows()[i], model.tangents.vectors[0])
 
     def test_every_sample_matches_its_group(self):
         data, _ = line_dataset(n=90)
-        part = equiblock_partition(data.responses, 3)
-        field = fit_tangents(data, part)
-        member = part.sample_groups()
+        model = fit(data, 3, 1, partition_kind="equiblock")
+        member = model.partition.sample_groups()
         for i in range(data.n):
-            assert np.array_equal(assign_tangent(field, part, i), field.vectors[member[i]])
-
-    def test_out_of_range_rejected(self):
-        data, _ = line_dataset()
-        part = dyadic_partition(data.responses, 1)
-        field = fit_tangents(data, part)
-        with pytest.raises(DataError, match="out of range"):
-            assign_tangent(field, part, data.n)
+            assert np.array_equal(model.tangent_rows()[i], model.tangents.vectors[member[i]])
