@@ -172,16 +172,30 @@ def _euclidean_sq_block(queries, candidates, cand_sq) -> np.ndarray:
     return out
 
 
+def _smallest(row, k: int) -> np.ndarray:
+    """Positions of the min(k, len(row)) smallest entries of ``row`` in
+    (value, position) order."""
+    take = min(k, row.shape[0])
+    if take == 1:
+        return np.argmin(row, keepdims=True)  # first minimum: lowest position on ties
+    kth = np.partition(row, take - 1)[take - 1]
+    pool = np.flatnonzero(row <= kth)  # ascending position order
+    return pool[np.argsort(row[pool], kind="stable")][:take]
+
+
 def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
     """Yield, per query row, the indices of its k nearest training rows in
     (distance, index) order, so ties go to the lower index.
 
     With ``proxy = (vectors, assignment)`` the distance to row i is the
     restricted proxy metric |a_i^T (x - X_i)| with a_i = vectors[assignment[i]],
-    computed as |a_i^T x - a_i^T X_i| with the second dot product taken once,
-    so a query costs O(N + J D) plus the Euclidean radius check.  Without it
-    the distance is Euclidean.  Fewer than k rows inside the radius eta are
-    all picked; with none, the Euclidean-nearest row alone is.
+    computed as |a_i^T x - a_i^T X_i| with the second dot product taken once.
+    Without it the distance is Euclidean.  Fewer than k rows inside the
+    radius eta are all picked; with none, the Euclidean-nearest row alone is.
+
+    Per query, a finite eta costs the O(N D) Euclidean radius block plus
+    O(J D); proxy distances and selection then run over the in-radius rows
+    only.  With eta infinite, proxy distances and selection cover all N rows.
     """
     n = train_x.shape[0]
     clipped = proxy is not None and not math.isinf(eta)
@@ -191,31 +205,28 @@ def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
         offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
     for start, stop in _query_chunks(queries.shape[0], n):
         block = queries[start:stop]
+        if clipped:
+            eucl2 = _euclidean_sq_block(block, train_x, cand_sq)
+            proj = block @ vectors.T
+            inside = ~(eucl2 > eta * eta)
+            for i, row_inside in enumerate(inside):
+                cand = np.flatnonzero(row_inside)  # ascending index order
+                if cand.size == 0:
+                    yield np.argmin(eucl2[i], keepdims=True)
+                    continue
+                dist = np.abs(proj[i][assignment[cand]] - offsets[cand])
+                yield cand[_smallest(dist, k)]
+            continue
         if proxy is None:
             dist = _euclidean_sq_block(block, train_x, cand_sq)
         else:
             dist = np.abs((block @ vectors.T)[:, assignment] - offsets[None, :])
-            if clipped:
-                eucl2 = _euclidean_sq_block(block, train_x, cand_sq)
-                dist[eucl2 > eta * eta] = np.inf
         if k == 1:
             # argmin takes the first minimum, i.e. the lowest index on ties
-            nearest = np.argmin(dist, axis=1)
-            if clipped:
-                empty = ~np.isfinite(dist).any(axis=1)
-                if empty.any():
-                    nearest[empty] = np.argmin(eucl2[empty], axis=1)
-            yield from nearest[:, None]
+            yield from np.argmin(dist, axis=1)[:, None]
             continue
-        in_radius = np.isfinite(dist).sum(axis=1) if clipped else np.full(stop - start, n)
-        for i, row in enumerate(dist):
-            take = min(k, int(in_radius[i]))
-            if take == 0:
-                yield np.argmin(eucl2[i], keepdims=True)
-                continue
-            kth = np.partition(row, take - 1)[take - 1]
-            pool = np.flatnonzero(row <= kth)  # ascending index order
-            yield pool[np.argsort(row[pool], kind="stable")][:take]
+        for row in dist:
+            yield _smallest(row, k)
 
 
 def predict_many(model: FittedNsim, queries) -> np.ndarray:
@@ -431,6 +442,15 @@ def model_to_json(model: FittedNsim) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True)
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """``values`` as an integer array; a fraction or a non-finite entry
+    raises ``DataError`` instead of being truncated."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise DataError(f"model {name} must hold whole numbers")
+    return arr.astype(np.intp)
+
+
 _MODEL_KEYS = (
     "partition_kind", "intervals", "tangents", "level_means_x", "level_means_y", "counts",
     "tangent_assignment", "train_features", "train_responses", "k", "eta",
@@ -442,9 +462,12 @@ def model_from_dict(doc: dict) -> FittedNsim:
 
     Groups are reconstructed from the tangent assignment; for split models
     they index the retained prediction half rather than the discarded
-    geometry half.  A document with a missing key, k < 1, eta <= 0, a
-    tangent matrix that is not J x D, or an assignment that does not give
-    every training row a level set in [0, J) raises ``DataError``.
+    geometry half.  A document raises ``DataError`` when it has a missing
+    key, intervals that are reversed or not contiguous, a tangent matrix
+    that is not J x D or has a row off unit norm by more than 1e-9, level
+    means or counts not sized for J level sets, an assignment that does not
+    give every training row a level set in [0, J), a fraction where k, the
+    counts or the assignment need whole numbers, k < 1, or eta <= 0.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
@@ -458,31 +481,54 @@ def model_from_dict(doc: dict) -> FittedNsim:
             ResponseInterval(float(lo), float(hi), bool(closed))
             for lo, hi, closed in doc["intervals"]
         )
-        assignment = np.asarray(doc["tangent_assignment"], dtype=np.intp)
+        assignment = _whole_numbers(doc["tangent_assignment"], "tangent_assignment")
         tangents = TangentField(
             vectors=np.asarray(doc["tangents"], dtype=np.float64),
             level_means_x=np.asarray(doc["level_means_x"], dtype=np.float64),
             level_means_y=np.asarray(doc["level_means_y"], dtype=np.float64),
-            counts=np.asarray(doc["counts"], dtype=np.intp),
+            counts=_whole_numbers(doc["counts"], "counts"),
         )
         train = Dataset(
             np.asarray(doc["train_features"], dtype=np.float64),
             np.asarray(doc["train_responses"], dtype=np.float64),
         )
-        k = int(doc["k"])
+        k = _whole_numbers(doc["k"], "k")
         eta = _eta_from_json(doc["eta"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
+    if k.shape != ():
+        raise DataError(f"model k must be a single number, got shape {k.shape}")
+    k = int(k)
     if k < 1:
         raise DataError(f"model k must be >= 1, got {k}")
     if not eta > 0:
         raise DataError(f"model eta must be positive, got {eta}")
+    for j, iv in enumerate(intervals):
+        if not iv.lower <= iv.upper:
+            raise DataError(f"interval {j} is reversed: [{iv.lower}, {iv.upper}]")
+        if j > 0 and iv.lower != intervals[j - 1].upper:
+            raise DataError(
+                f"interval {j} starts at {iv.lower}, not at the previous upper bound "
+                f"{intervals[j - 1].upper}"
+            )
     j_count = len(intervals)
-    if tangents.vectors.shape != (j_count, train.d):
-        raise DataError(
-            f"tangents of shape {tangents.vectors.shape} do not fit {j_count} level sets "
-            f"in dimension {train.d}"
-        )
+    expected_shapes = {
+        "tangents": (tangents.vectors, (j_count, train.d)),
+        "level_means_x": (tangents.level_means_x, (j_count, train.d)),
+        "level_means_y": (tangents.level_means_y, (j_count,)),
+        "counts": (tangents.counts, (j_count,)),
+    }
+    for key, (arr, shape) in expected_shapes.items():
+        if arr.shape != shape:
+            raise DataError(
+                f"{key} of shape {arr.shape} does not fit {j_count} level sets "
+                f"in dimension {train.d}"
+            )
+    norms = np.linalg.norm(tangents.vectors, axis=1)
+    off_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    if off_unit.size:
+        j = off_unit[0]
+        raise DataError(f"tangent row {j} has norm {norms[j]}, not 1")
     if assignment.shape != (train.n,):
         raise DataError(
             f"tangent_assignment has shape {assignment.shape} for {train.n} training rows"

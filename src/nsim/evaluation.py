@@ -344,7 +344,11 @@ def real_benchmark(
 ) -> dict:
     """Repeated-split benchmark: per repetition, hold out a test fraction,
     tune hyperparameters by k-fold cross-validation on the rest, and report
-    mean and std of the relative test RMSE plus mean selected k and J."""
+    mean and std of the relative test RMSE plus mean selected k and J.
+
+    A split on which a method raises ``InfeasibleFitError`` or ``DataError``
+    is kept as a row with its ``reason`` and left out of that method's
+    ``splits_used`` and means; the other methods still report."""
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if repetitions < 1:
@@ -394,7 +398,7 @@ def real_benchmark(
                     weights, intercept = baseline_linreg(train)
                     preds = linreg_predict(weights, intercept, test.features)
                     row.update(rmse=rmse_function(preds, test.responses))
-            except InfeasibleFitError as exc:
+            except (InfeasibleFitError, DataError) as exc:
                 row["reason"] = str(exc)
                 split_rows.append(row)
                 continue

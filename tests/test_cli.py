@@ -157,6 +157,19 @@ def _set_first_assignment(doc, value):
     doc["tangent_assignment"][0] = value
 
 
+def _scale_first_tangent(doc, factor):
+    doc["tangents"][0] = [factor * v for v in doc["tangents"][0]]
+
+
+def _reverse_first_interval(doc):
+    lower, upper, closed = doc["intervals"][0]
+    doc["intervals"][0] = [upper, lower, closed]
+
+
+def _open_gap_before_second_interval(doc):
+    doc["intervals"][1][0] += 0.01
+
+
 MODEL_CORRUPTIONS = {
     "missing-k": lambda doc: doc.pop("k"),
     "k-zero": lambda doc: doc.update(k=0),
@@ -167,6 +180,14 @@ MODEL_CORRUPTIONS = {
     ),
     "assignment-entry-at-j": lambda doc: _set_first_assignment(doc, len(doc["tangents"])),
     "assignment-entry-negative": lambda doc: _set_first_assignment(doc, -1),
+    "assignment-entry-fraction": lambda doc: _set_first_assignment(doc, 1.5),
+    "k-fraction": lambda doc: doc.update(k=2.7),
+    "tangent-row-scaled": lambda doc: _scale_first_tangent(doc, 10.0),
+    "interval-reversed": _reverse_first_interval,
+    "interval-gap": _open_gap_before_second_interval,
+    "level-means-x-short": lambda doc: doc.update(level_means_x=doc["level_means_x"][:-1]),
+    "level-means-y-short": lambda doc: doc.update(level_means_y=doc["level_means_y"][:-1]),
+    "counts-short": lambda doc: doc.update(counts=[1]),
 }
 
 

@@ -25,6 +25,7 @@ from nsim.estimator import (
 )
 from nsim.geometry import SynthConfig, generate, make_curve
 from nsim.metric import proxy_distances
+from nsim.tangents import TangentField
 
 
 def synth(kind="line", d=4, n=200, seed=5, c=0.0):
@@ -233,6 +234,69 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
         got_knn = baseline_knn_many(model.train, queries, model.k)
     assert np.array_equal(got, brute_force_predictions(model, queries))
     assert np.array_equal(got_knn, brute_force_knn(model.train, queries, model.k))
+
+
+@st.composite
+def split_problems(draw):
+    """Integer geometry rows with duplicates and half-integer prediction rows
+    reaching past the geometry's range, so exact ties, in-radius boundary
+    cases and Euclidean fallbacks all occur."""
+    d = draw(st.integers(1, 3))
+    unique = _int_rows(draw, draw(st.integers(1, 8)), d, -2, 2)
+    copies = draw(st.lists(st.integers(0, len(unique) - 1), max_size=6))
+    geo_features = np.vstack([unique, unique[copies]])
+    n_geo = len(geo_features)
+    geometry = Dataset(
+        geo_features,
+        draw(st.lists(st.integers(-3, 3), min_size=n_geo, max_size=n_geo)),
+    )
+    n_pred = draw(st.integers(1, 10))
+    prediction = Dataset(_int_rows(draw, n_pred, d, -8, 8) / 2.0, np.zeros(n_pred))
+    j_count = draw(st.integers(1, min(3, n_geo)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=j_count, max_size=j_count))
+    axes = draw(st.lists(st.integers(0, d - 1), min_size=j_count, max_size=j_count))
+    vectors = np.zeros((j_count, d))
+    vectors[np.arange(j_count), axes] = signs
+    eta = draw(st.sampled_from([0.5, 1.0, 1.5, math.inf]))
+    # scratch budgets of one to three query rows per chunk
+    budget = draw(st.sampled_from([1, 2, 3])) * n_geo
+    return geometry, prediction, j_count, vectors, eta, budget
+
+
+def brute_force_split_assignment(geometry, prediction, split):
+    geo_groups = split.partition.sample_groups()
+    rows = split.tangents.vectors[geo_groups]
+    out = []
+    for x in prediction.features:
+        dist = proxy_distances(x, geometry.features, rows, split.eta)
+        if np.isfinite(dist).any():
+            nearest = np.argmin(dist)  # first minimum: lowest index on ties
+        else:
+            nearest = np.argmin(((geometry.features - x) ** 2).sum(axis=1))
+        out.append(geo_groups[nearest])
+    return np.array(out)
+
+
+@given(split_problems())
+@settings(max_examples=200, deadline=None)
+def test_split_assignment_matches_brute_force_with_ties(problem):
+    geometry, prediction, j_count, vectors, eta, budget = problem
+
+    # Axis-aligned signed tangents in place of fitted ones keep every
+    # distance exact on both sides, so ties are real ties.
+    def axis_tangents(data, partition, rank_tol=None):
+        zeros = np.zeros(j_count)
+        counts = np.array([len(g) for g in partition.groups])
+        return TangentField(vectors, np.zeros_like(vectors), zeros, counts)
+
+    with (
+        mock.patch.object(estimator, "fit_tangents", axis_tangents),
+        mock.patch.object(estimator, "_CHUNK_BUDGET", budget),
+    ):
+        split = fit_split(geometry, prediction, j_count, 1, eta, "equiblock")
+    assert np.array_equal(
+        split.tangent_assignment, brute_force_split_assignment(geometry, prediction, split)
+    )
 
 
 class TestFitSplit:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nsim import evaluation
 from nsim.errors import DataError, UsageError
 from nsim.evaluation import (
     decay_slope,
@@ -190,6 +191,22 @@ class TestRealBenchmark:
             if split["method"].startswith("nsim-"):
                 assert split["J"] in (1, 2)
                 assert split["k"] in (1, 8)
+
+    def test_data_error_in_one_method_is_recorded_not_fatal(self, monkeypatch):
+        def singular_design(data):
+            raise DataError("singular design")
+
+        monkeypatch.setattr(evaluation, "baseline_linreg", singular_design)
+        report = real_benchmark(
+            small_real_dataset(), 3, repetitions=2, folds=3, j_grid=(1, 2), k_grid=(1, 4)
+        )
+        assert report["methods"]["linreg"] == {
+            "splits_used": 0, "rmse_mean": None, "rmse_std": None
+        }
+        linreg_rows = [r for r in report["splits"] if r["method"] == "linreg"]
+        assert [r["reason"] for r in linreg_rows] == ["singular design"] * 2
+        for method in ("nsim-dyadic", "nsim-equiblock", "knn"):
+            assert report["methods"][method]["splits_used"] == 2
 
     def test_test_fraction_validation(self):
         data = small_real_dataset()
