@@ -46,7 +46,7 @@ from .geometry import (
     make_curve,
 )
 from .linalg import cross_covariance, pseudo_inverse, sample_covariance
-from .metric import neighbor_order, proxy_distances
+from .metric import proxy_distances
 from .partition import (
     ResponseInterval,
     ResponsePartition,
@@ -94,7 +94,6 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "model_to_json",
-    "neighbor_order",
     "predict_many",
     "proxy_distances",
     "pseudo_inverse",

@@ -20,6 +20,25 @@ def _as_float_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+# With squared row norms below max/8, no term or partial sum of
+# ||q||^2 - 2 q.x + ||x||^2 overflows.
+_MAX_ROW_SQ_NORM = np.finfo(np.float64).max / 8
+
+
+def check_row_norms(rows: np.ndarray, name: str) -> None:
+    """Raise ``DataError`` for a row whose squared norm is not finite or
+    exceeds max_float / 8."""
+    with np.errstate(over="ignore"):
+        sq = np.einsum("nd,nd->n", rows, rows)
+    too_big = np.flatnonzero(~(sq <= _MAX_ROW_SQ_NORM))
+    if too_big.size:
+        i = too_big[0]
+        raise DataError(
+            f"{name} row {i} has squared norm {sq[i]:.3g}; rows above "
+            f"{_MAX_ROW_SQ_NORM:.3g} would overflow the squared distances"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N feature rows of dimension D paired with N scalar responses."""
@@ -35,6 +54,7 @@ class Dataset:
                 f"feature rows ({features.shape[0]}) and responses "
                 f"({responses.shape[0]}) differ in length"
             )
+        check_row_norms(features, "features")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "responses", responses)
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_row_norms
 from .errors import DataError, InfeasibleFitError, NsimError, UsageError
 from .linalg import cross_covariance, pseudo_inverse, sample_covariance
 from .metric import _check_eta
@@ -151,6 +151,7 @@ def _as_queries(queries, d: int) -> np.ndarray:
         raise DataError(f"queries of shape {arr.shape} incompatible with model dim {d}")
     if not np.all(np.isfinite(arr)):
         raise DataError("queries contain non-finite values")
+    check_row_norms(arr, "queries")
     return arr
 
 
@@ -247,9 +248,9 @@ def predict_many(model: FittedNsim, queries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Grid-search record: attempted (J, k) pairs, their mean validation MSE
-    (None when no fold was feasible), the selected pair, and the per-fold
-    skips with reasons.
+    """Grid-search record: attempted (J, k) pairs in k-major order, their
+    mean validation MSE (None when no fold was feasible), the selected pair,
+    and the per-fold skips with reasons.
 
     Under the two-thirds rule each fold uses k = ceil(0.5 * n_train^(2/3))
     for its own training size; the k recorded in ``grid`` is the value at
@@ -267,14 +268,28 @@ class CvReport:
     partition_kind: str
 
 
-def fold_assignments(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    """Contiguous blocks of a seeded permutation; sizes differ by at most 1."""
-    perm = np.random.default_rng(seed).permutation(n)
-    return np.array_split(perm, folds)
+def fold_splits(n: int, folds: int, seed: int):
+    """Yield ``(train_idx, val_idx)`` per fold.  Validation folds are
+    contiguous blocks of a seeded permutation, sizes differing by at most 1;
+    the training indices are the rest, ascending."""
+    all_idx = np.arange(n)
+    for val_idx in np.array_split(np.random.default_rng(seed).permutation(n), folds):
+        yield np.sort(np.setdiff1d(all_idx, val_idx, assume_unique=True)), val_idx
 
 
 def two_thirds_k(n_train: int) -> int:
     return max(1, math.ceil(0.5 * n_train ** (2.0 / 3.0)))
+
+
+def k_values(ks) -> list[int]:
+    """One integer k, or a non-empty list, tuple, range or array of them,
+    as a list of ints; anything but ints >= 1 raises ``UsageError``."""
+    values = list(ks) if isinstance(ks, (list, tuple, range, np.ndarray)) else [ks]
+    if not values or any(
+        isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 for k in values
+    ):
+        raise UsageError(f"k must be an integer >= 1 or a non-empty sequence of them, got {ks!r}")
+    return [int(k) for k in values]
 
 
 def cross_validate(
@@ -287,11 +302,15 @@ def cross_validate(
     partition_kind: str = "dyadic",
     rank_tol: float | None = None,
 ) -> CvReport:
-    """Seeded k-fold grid search over J.
+    """Seeded k-fold grid search over (J, k).
 
-    ``k_rule`` is either a fixed integer k or the string "two-thirds".
-    Infeasible (J, fold) combinations are recorded and excluded from
-    scoring; a J whose folds all fail scores None and cannot be selected.
+    ``k_rule`` is a fixed integer k, a non-empty sequence of them, or the
+    string "two-thirds".  The grid is k-major, J-minor: (J_1, k_1), (J_2, k_1),
+    ..., (J_1, k_2), ...; each (J, fold) is fitted once and scored for every
+    k.  ``selected`` is the first pair in grid order with the lowest mean
+    validation MSE, so ties go to the earlier k, then the earlier J.  An
+    infeasible (J, fold) is recorded in ``skipped`` once per k and excluded
+    from scoring; a pair whose folds all fail scores None.
     """
     j_grid = [int(j) for j in j_grid]
     if not j_grid:
@@ -301,56 +320,47 @@ def cross_validate(
     if folds > data.n:
         raise UsageError(f"folds ({folds}) exceed sample count ({data.n})")
     eta = _check_eta(eta)
-    if k_rule == "two-thirds":
-        fixed_k = None
-    elif isinstance(k_rule, (int, np.integer)) and not isinstance(k_rule, bool):
-        fixed_k = int(k_rule)
-        if fixed_k < 1:
-            raise UsageError(f"k must be >= 1, got {fixed_k}")
-    else:
-        raise UsageError(f"k_rule must be an integer or 'two-thirds', got {k_rule!r}")
+    two_thirds = isinstance(k_rule, str) and k_rule == "two-thirds"
+    grid_ks = [two_thirds_k(data.n)] if two_thirds else k_values(k_rule)
 
-    fold_sets = fold_assignments(data.n, folds, seed)
-    all_idx = np.arange(data.n)
-    grid: list[tuple[int, int]] = []
-    scores: list[float | None] = []
-    skipped: list[dict] = []
-
-    for j_count in j_grid:
-        k_full = fixed_k if fixed_k is not None else two_thirds_k(data.n)
-        grid.append((j_count, k_full))
-        fold_mses: list[float] = []
-        for f, val_idx in enumerate(fold_sets):
-            train_idx = np.sort(np.setdiff1d(all_idx, val_idx, assume_unique=True))
-            k_fold = fixed_k if fixed_k is not None else two_thirds_k(len(train_idx))
+    splits = []
+    for train_idx, val_idx in fold_splits(data.n, folds, seed):
+        fold_ks = [two_thirds_k(len(train_idx))] if two_thirds else grid_ks
+        splits.append(
+            (data.subset(train_idx), data.features[val_idx], data.responses[val_idx], fold_ks)
+        )
+    mses = [[[] for _ in j_grid] for _ in grid_ks]  # per k, per J: the fold MSEs
+    failed = []  # (J, fold, reason) per infeasible fit
+    for ji, j_count in enumerate(j_grid):
+        for f, (fold_train, val_x, val_y, fold_ks) in enumerate(splits):
             try:
-                model = fit(
-                    data.subset(train_idx), j_count, k_fold, eta, partition_kind, rank_tol
-                )
+                model = fit(fold_train, j_count, fold_ks[0], eta, partition_kind, rank_tol)
             except (InfeasibleFitError, DataError) as exc:
-                skipped.append(
-                    {"J": j_count, "k": k_full, "fold": f, "reason": str(exc)}
-                )
+                failed.append((j_count, f, str(exc)))
                 continue
-            preds = predict_many(model, data.features[val_idx])
-            fold_mses.append(float(np.mean((preds - data.responses[val_idx]) ** 2)))
-        scores.append(float(np.mean(fold_mses)) if fold_mses else None)
+            for ki, k_fold in enumerate(fold_ks):
+                preds = predict_many(replace(model, k=k_fold), val_x)
+                mses[ki][ji].append(float(np.mean((preds - val_y) ** 2)))
 
+    grid = tuple((j, k) for k in grid_ks for j in j_grid)
+    scores = tuple(float(np.mean(m)) if m else None for row in mses for m in row)
+    skipped = tuple(
+        {"J": j, "k": k, "fold": f, "reason": reason} for k in grid_ks for j, f, reason in failed
+    )
     feasible = [(s, pair) for s, pair in zip(scores, grid) if s is not None]
     if not feasible:
         reasons = skipped[0]["reason"] if skipped else "no pairs attempted"
         raise InfeasibleFitError(f"all (J, k) pairs infeasible; first reason: {reasons}")
-    best_score = min(s for s, _ in feasible)
-    selected = next(pair for s, pair in feasible if s == best_score)
+    selected = min(feasible, key=lambda entry: entry[0])[1]  # first minimum in grid order
 
     return CvReport(
-        grid=tuple(grid),
-        fold_scores=tuple(scores),
+        grid=grid,
+        fold_scores=scores,
         selected=selected,
-        skipped=tuple(skipped),
+        skipped=skipped,
         folds=folds,
         seed=int(seed),
-        k_rule="two-thirds" if fixed_k is None else "fixed",
+        k_rule="two-thirds" if two_thirds else "fixed",
         eta=eta,
         partition_kind=partition_kind,
     )

@@ -24,7 +24,8 @@ from .estimator import (
     baseline_linreg,
     cross_validate,
     fit,
-    fold_assignments,
+    fold_splits,
+    k_values,
     linreg_predict,
     predict_many,
     two_thirds_k,
@@ -356,6 +357,7 @@ def real_benchmark(
     for m in methods:
         if m not in BENCHMARK_METHODS:
             raise UsageError(f"unknown benchmark method {m!r}")
+    k_grid = k_values(k_grid)
 
     n_test = max(1, int(round(test_fraction * data.n)))
     if data.n - n_test < folds:
@@ -378,15 +380,9 @@ def real_benchmark(
             try:
                 if method.startswith("nsim-"):
                     kind = method.split("-", 1)[1]
-                    best = None
-                    for k in k_grid:
-                        report = cross_validate(
-                            train, j_grid, int(k), eta, folds, cv_seed, kind
-                        )
-                        score = report.fold_scores[report.grid.index(report.selected)]
-                        if best is None or score < best[0]:
-                            best = (score, report.selected)
-                    j_sel, k_sel = best[1]
+                    j_sel, k_sel = cross_validate(
+                        train, j_grid, k_grid, eta, folds, cv_seed, kind
+                    ).selected
                     model = fit(train, j_sel, k_sel, eta, kind)
                     preds = predict_many(model, test.features)
                     row.update(rmse=rmse_function(preds, test.responses), k=k_sel, J=j_sel)
@@ -439,16 +435,14 @@ def real_benchmark(
 
 
 def _knn_cv(train: Dataset, k_grid, folds: int, seed: int) -> int:
-    fold_sets = fold_assignments(train.n, folds, seed)
-    all_idx = np.arange(train.n)
-    best = None
-    for k in k_grid:
-        mses = []
-        for val_idx in fold_sets:
-            fold_train = train.subset(np.sort(np.setdiff1d(all_idx, val_idx, assume_unique=True)))
-            preds = baseline_knn_many(fold_train, train.features[val_idx], int(k))
-            mses.append(float(np.mean((preds - train.responses[val_idx]) ** 2)))
-        score = float(np.mean(mses))
-        if best is None or score < best[0]:
-            best = (score, int(k))
-    return best[1]
+    """The k in ``k_grid`` with the lowest mean validation MSE; the first
+    such k on ties."""
+    mses = [[] for _ in k_grid]
+    for train_idx, val_idx in fold_splits(train.n, folds, seed):
+        fold_train = train.subset(train_idx)
+        val_x, val_y = train.features[val_idx], train.responses[val_idx]
+        for i, k in enumerate(k_grid):
+            preds = baseline_knn_many(fold_train, val_x, k)
+            mses[i].append(float(np.mean((preds - val_y) ** 2)))
+    best = min(range(len(k_grid)), key=lambda i: float(np.mean(mses[i])))
+    return k_grid[best]

@@ -1,4 +1,5 @@
-"""Restricted proxy distance and neighbor ordering.
+"""Restricted proxy distance: the brute-force reference for the estimator's
+neighbour search.
 
 The distance from a query x to a candidate X_i is |a_i^T (x - X_i)| when
 ||x - X_i|| <= eta and infinity otherwise, where a_i is the unit index
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, InfeasibleFitError, UsageError
+from .errors import DataError, UsageError
 
 
 def _check_eta(eta: float) -> float:
@@ -43,20 +44,3 @@ def proxy_distances(x, candidates, tangents, eta: float) -> np.ndarray:
     within = np.einsum("nd,nd->n", diffs, diffs) <= eta * eta
     proj = np.abs(np.einsum("nd,nd->n", diffs, tangents))
     return np.where(within, proj, np.inf)
-
-
-def neighbor_order(x, candidates, tangents, eta: float, k: int) -> np.ndarray:
-    """Indices of the k smallest finite proxy distances, ascending.
-
-    Ties break toward the lower candidate index.  Fewer than k finite
-    distances yield all finite ones; zero finite distances are an error and
-    the caller decides the fallback.
-    """
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    dist = proxy_distances(x, candidates, tangents, eta)
-    n_finite = int(np.isfinite(dist).sum())
-    if n_finite == 0:
-        raise InfeasibleFitError("no candidate within restricting radius")
-    order = np.argsort(dist, kind="stable")
-    return order[: min(k, n_finite)]

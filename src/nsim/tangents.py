@@ -30,14 +30,6 @@ class TangentField:
     level_means_y: np.ndarray  # (J,)
     counts: np.ndarray  # (J,)
 
-    @property
-    def n_level_sets(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 def fit_tangents(
     data: Dataset,

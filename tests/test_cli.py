@@ -277,6 +277,25 @@ class TestFitPredictCommands:
         assert "nsim: error [data]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_query_too_large_for_distances_is_a_data_error(
+        self, tmp_path, monkeypatch, synth_files, capsys
+    ):
+        data, _ = synth_files
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "fit", "--data", data, "--J", 2, "--k", 3, "--eta", 0.5,
+            "--out", model, monkeypatch=monkeypatch,
+        ) == 0
+        queries = write_csv(tmp_path / "q.csv", "a,b,c,d\n0.1,1e160,0.3,0.4\n")
+        code = run_cli(
+            "predict", "--model", model, "--data", queries, "--out", tmp_path / "p.csv",
+            monkeypatch=monkeypatch,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "nsim: error [data]" in err
+        assert "Traceback" not in err
+
     def test_missing_data_file_exit_code(self, tmp_path, monkeypatch, capsys):
         code = run_cli(
             "fit", "--data", tmp_path / "nope.csv", "--J", 1, "--k", 1,

@@ -400,6 +400,88 @@ class TestCrossValidate:
             cross_validate(dataset, [1], 1, folds=31, seed=0)
 
 
+    @staticmethod
+    def per_k_reference(data, j_grid, k_grid, **kwargs):
+        """One single-k ``cross_validate`` per k; an earlier k keeps a tie."""
+        best, scores, skipped = None, {}, []
+        for k in k_grid:
+            report = cross_validate(data, j_grid, k, **kwargs)
+            scores.update(zip(report.grid, report.fold_scores))
+            skipped.extend(report.skipped)
+            score = report.fold_scores[report.grid.index(report.selected)]
+            if best is None or score < best[0]:
+                best = (score, report.selected)
+        return best[1], scores, skipped
+
+    @pytest.mark.parametrize(
+        "n, j_grid, k_grid, eta",
+        [
+            (60, [1, 2, 16], [3, 1, 8], math.inf),  # J=16 is infeasible on every fold
+            (90, [2, 1, 4], [4, 1, 2], 1e-9),  # every validation query falls back
+        ],
+    )
+    def test_k_grid_matches_one_call_per_k(self, n, j_grid, k_grid, eta):
+        dataset, _ = synth(n=n, seed=51, c=0.1)
+        kwargs = dict(eta=eta, folds=3, seed=5)
+        report = cross_validate(dataset, j_grid, k_grid, **kwargs)
+        selected, scores, skipped = self.per_k_reference(dataset, j_grid, k_grid, **kwargs)
+        assert report.grid == tuple(scores) == tuple((j, k) for k in k_grid for j in j_grid)
+        assert report.fold_scores == tuple(scores.values())
+        assert list(report.skipped) == skipped
+        assert report.selected == selected
+        if eta < 1.0:
+            assert len(set(report.fold_scores)) == 1
+            assert report.selected == (j_grid[0], k_grid[0])
+
+    def test_k_grid_fits_each_j_and_fold_once(self, monkeypatch):
+        dataset, _ = synth(n=90, seed=52, c=0.1)
+        calls = {"fit": 0, "predict_many": 0}
+
+        def counted(name):
+            original = getattr(estimator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(estimator, name, counted(name))
+        report = cross_validate(dataset, [1, 2], [1, 3, 5], folds=3, seed=7)
+        assert calls == {"fit": 2 * 3, "predict_many": 2 * 3 * 3}
+        assert len(report.grid) == 6
+
+    @pytest.mark.parametrize("k_rule", [[], [0], [True], [1.5], "three", 0, True, 2.0])
+    def test_bad_k_rule_is_a_usage_error(self, k_rule):
+        dataset, _ = synth(n=30, seed=53)
+        with pytest.raises(UsageError):
+            cross_validate(dataset, [1], k_rule, folds=3, seed=0)
+
+
+class TestRowNormBound:
+    """Rows whose squared norm exceeds max_float / 8 are rejected, so the
+    expanded squared distances cannot overflow."""
+
+    def test_predict_many(self):
+        data = line_dataset()
+        model = fit(data, 2, 3, eta=0.5)
+        with pytest.raises(DataError, match="squared norm"):
+            predict_many(model, np.full((2, 3), 1e160))
+        assert np.all(np.isfinite(predict_many(model, np.full((2, 3), 1e150))))
+
+    def test_baseline_knn_many(self):
+        data = line_dataset()
+        with pytest.raises(DataError, match="squared norm"):
+            baseline_knn_many(data, np.array([0.0, -1e160, 0.0]), 3)
+        assert np.isfinite(baseline_knn_many(data, np.array([0.0, -1e150, 0.0]), 3)[0])
+
+    def test_dataset(self):
+        with pytest.raises(DataError, match="features row 1"):
+            Dataset([[0.0, 1.0], [1e160, 0.0]], [1.0, 2.0])
+        assert Dataset([[0.0, 1.0], [1e150, 0.0]], [1.0, 2.0]).n == 2
+
+
 class TestBaselineKnn:
     def test_k1_at_training_point(self):
         data = line_dataset()

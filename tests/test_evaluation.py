@@ -208,6 +208,16 @@ class TestRealBenchmark:
         for method in ("nsim-dyadic", "nsim-equiblock", "knn"):
             assert report["methods"][method]["splits_used"] == 2
 
+    @pytest.mark.parametrize("k_grid", [(), (True,), (2, 0), (1.5,), (-1,), "4"])
+    def test_bad_k_grid_fails_before_any_work(self, monkeypatch, k_grid):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the k grid was validated")
+
+        for name in ("cross_validate", "fit", "baseline_knn_many", "baseline_linreg"):
+            monkeypatch.setattr(evaluation, name, no_work)
+        with pytest.raises(UsageError):
+            real_benchmark(small_real_dataset(), 1, repetitions=1, folds=3, k_grid=k_grid)
+
     def test_test_fraction_validation(self):
         data = small_real_dataset()
         with pytest.raises(UsageError):
