@@ -21,7 +21,6 @@ from .estimator import (
     load_model,
     model_from_dict,
     model_to_dict,
-    model_to_json,
     predict_many,
     save_model,
     two_thirds_k,
@@ -93,7 +92,6 @@ __all__ = [
     "make_curve",
     "model_from_dict",
     "model_to_dict",
-    "model_to_json",
     "predict_many",
     "proxy_distances",
     "pseudo_inverse",

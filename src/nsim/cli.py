@@ -10,7 +10,6 @@ wall-clock seeding.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import check_eta
 from .errors import DataError, NsimError, UsageError
 from .estimator import (
+    PARTITION_KINDS,
     cross_validate,
-    cv_report_to_json,
+    cv_report_to_dict,
     fit,
     fit_split,
     load_model,
@@ -29,6 +30,7 @@ from .estimator import (
     save_model,
 )
 from .evaluation import (
+    SCHEDULE_METHODS,
     real_benchmark,
     run_schedule,
     schedule_csv_rows,
@@ -40,6 +42,7 @@ from .io import (
     read_dataset_csv,
     read_feature_csv,
     write_dataset_csv,
+    write_json,
     write_matrix_csv,
     write_predictions_csv,
     write_rows_csv,
@@ -47,6 +50,7 @@ from .io import (
 from .tangents import grammian
 
 SEED_ENV = "NSIM_SEED"
+SCHEDULE_REPETITIONS = 10  # `benchmark --curve` default; `--data` uses real_benchmark's
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,35 +59,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_eta(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        eta = float(text)
+        return check_eta(float(text))
     except ValueError:
         raise UsageError(f"invalid eta {text!r}") from None
-    if not eta > 0:
-        raise UsageError(f"eta must be positive, got {eta}")
-    return eta
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise UsageError(f"invalid {name} {text!r}: expected comma-separated integers") from None
-    if not values:
-        raise UsageError(f"empty {name}")
-    return values
+def _list_of(convert, name: str):
+    """argparse type: a non-empty comma-separated list of ``convert`` values."""
+    noun = "integers" if convert is int else "numbers"
 
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise UsageError(f"invalid {name} {text!r}: expected comma-separated {noun}") from None
+        if not values:
+            raise UsageError(f"empty {name}")
+        return values
 
-def _parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise UsageError(f"invalid {name} {text!r}: expected comma-separated numbers") from None
-    if not values:
-        raise UsageError(f"empty {name}")
-    return values
+    return parse
 
 
 def _resolve_seed(seed) -> int:
@@ -109,14 +104,12 @@ def _load_dataset(args):
     return dataset, names
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _given(**options) -> dict:
+    """``options`` without those left unset, so the callee's defaults apply."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def cmd_fit(args) -> int:
-    eta = _parse_eta(args.eta)
     dataset, _ = _load_dataset(args)
     if args.split == "half":
         mid = dataset.n // 2
@@ -125,10 +118,10 @@ def cmd_fit(args) -> int:
         geometry = dataset.subset(np.arange(mid))
         prediction = dataset.subset(np.arange(mid, dataset.n))
         model = fit_split(
-            geometry, prediction, args.J, args.k, eta, args.partition, args.rank_tol
+            geometry, prediction, args.J, args.k, args.eta, args.partition, args.rank_tol
         )
     else:
-        model = fit(dataset, args.J, args.k, eta, args.partition, args.rank_tol)
+        model = fit(dataset, args.J, args.k, args.eta, args.partition, args.rank_tol)
     save_model(args.out, model)
     return 0
 
@@ -143,16 +136,14 @@ def cmd_predict(args) -> int:
 
 def cmd_cv(args) -> int:
     seed = _resolve_seed(args.seed)
-    eta = _parse_eta(args.eta)
-    j_grid = _parse_int_list(args.j_grid, "J grid")
-    k_rule = "two-thirds" if args.k_rule == "two-thirds" else args.k
+    k_rule = args.k if args.k_rule is None else args.k_rule
     if k_rule is None:
         raise UsageError("pass --k or --k-rule two-thirds")
     dataset, _ = _load_dataset(args)
-    report = cross_validate(dataset, j_grid, k_rule, eta, args.folds, seed, args.partition)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(cv_report_to_json(report))
-        fh.write("\n")
+    report = cross_validate(
+        dataset, args.j_grid, k_rule, args.eta, args.folds, seed, args.partition
+    )
+    write_json(args.out, cv_report_to_dict(report))
     return 0
 
 
@@ -180,37 +171,37 @@ def cmd_synth(args) -> int:
         "t_true": [s.t_true for s in samples],
         "a_true": [s.a_true.tolist() for s in samples],
     }
-    _write_json(args.truth_out, sidecar)
+    write_json(args.truth_out, sidecar)
     return 0
 
 
 def cmd_gram(args) -> int:
-    j_list = _parse_int_list(args.j_list, "J list")
     dataset, _ = _load_dataset(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for j_count in j_list:
+    for j_count in args.j_list:
         model = fit(dataset, j_count, 1, math.inf, args.partition, args.rank_tol)
         write_matrix_csv(out_dir / f"gram_J{j_count}.csv", grammian(model.tangents))
     return 0
 
 
 def cmd_benchmark(args) -> int:
+    if (args.data is None) == (args.curve is None):
+        raise UsageError("benchmark needs exactly one of --data (CSV mode) or --curve (synthetic)")
     seed = _resolve_seed(args.seed)
-    eta = _parse_eta(args.eta)
-    j_grid = _parse_int_list(args.j_grid, "J grid")
     if args.data is not None:
-        k_grid = _parse_int_list(args.k_grid, "k grid")
         dataset, _ = _load_dataset(args)
         report = real_benchmark(
             dataset,
             seed,
-            repetitions=args.repetitions,
-            test_fraction=args.test_fraction,
-            folds=args.folds,
-            j_grid=j_grid,
-            k_grid=k_grid,
-            eta=eta,
+            **_given(
+                repetitions=args.repetitions,
+                test_fraction=args.test_fraction,
+                folds=args.folds,
+                j_grid=args.j_grid,
+                k_grid=args.k_grid,
+                eta=args.eta,
+            ),
         )
         if args.out_csv:
             rows = [["method", "rep", "rmse", "k", "J"]]
@@ -219,32 +210,34 @@ def cmd_benchmark(args) -> int:
                     [
                         split["method"],
                         str(split["rep"]),
-                        format_float(split["rmse"]) if not math.isnan(split["rmse"]) else "nan",
+                        format_float(split["rmse"]),
                         "" if split["k"] is None else str(split["k"]),
                         "" if split["J"] is None else str(split["J"]),
                     ]
                 )
             write_rows_csv(args.out_csv, rows)
-        _write_json(args.out_json, report)
+        write_json(args.out_json, report)
         return 0
 
     results = run_schedule(
         args.curve,
-        _parse_int_list(args.d_values, "D values"),
-        _parse_float_list(args.noise_factors, "noise factors"),
-        _parse_int_list(args.n_grid, "N grid"),
-        args.repetitions,
+        args.d_values,
+        args.noise_factors,
+        args.n_grid,
+        SCHEDULE_REPETITIONS if args.repetitions is None else args.repetitions,
         seed,
-        method=args.method,
-        partition_kind=args.partition,
-        eta=eta,
-        j_grid_noisy=tuple(j_grid),
-        cv_folds=args.folds,
-        test_count=args.test_count,
+        **_given(
+            method=args.method,
+            partition_kind=args.partition,
+            eta=args.eta,
+            j_grid_noisy=args.j_grid,
+            cv_folds=args.folds,
+            test_count=args.test_count,
+        ),
     )
     if args.out_csv:
         write_rows_csv(args.out_csv, schedule_csv_rows(results))
-    _write_json(args.out_json, schedule_summary(results))
+    write_json(args.out_json, schedule_summary(results))
     return 0
 
 
@@ -264,8 +257,9 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p_fit)
     p_fit.add_argument("--J", type=int, required=True, help="number of level sets")
     p_fit.add_argument("--k", type=int, required=True, help="neighbors averaged per prediction")
-    p_fit.add_argument("--eta", default="inf", help="restricting radius (number or 'inf')")
-    p_fit.add_argument("--partition", choices=("dyadic", "equiblock"), default="dyadic")
+    p_fit.add_argument("--eta", type=_parse_eta, default=math.inf,
+                       help="restricting radius (number or 'inf')")
+    p_fit.add_argument("--partition", choices=PARTITION_KINDS, default="dyadic")
     p_fit.add_argument("--split", choices=("none", "half"), default="none",
                        help="'half': learn geometry on the first half, predict from the second")
     p_fit.add_argument("--rank-tol", type=float, default=None)
@@ -280,13 +274,14 @@ def build_parser() -> _Parser:
 
     p_cv = sub.add_parser("cv", help="cross-validated hyperparameter selection")
     _add_dataset_flags(p_cv)
-    p_cv.add_argument("--j-grid", default="1,2,4,8")
-    p_cv.add_argument("--k", type=int, default=None, help="fixed k")
-    p_cv.add_argument("--k-rule", choices=("two-thirds",), default=None,
-                      help="per-fold k = ceil(0.5 * n_train^(2/3))")
-    p_cv.add_argument("--eta", default="inf")
+    p_cv.add_argument("--j-grid", type=_list_of(int, "J grid"), default="1,2,4,8")
+    k_choice = p_cv.add_mutually_exclusive_group()
+    k_choice.add_argument("--k", type=int, default=None, help="fixed k")
+    k_choice.add_argument("--k-rule", choices=("two-thirds",), default=None,
+                          help="per-fold k = ceil(0.5 * n_train^(2/3))")
+    p_cv.add_argument("--eta", type=_parse_eta, default=math.inf)
     p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--partition", choices=("dyadic", "equiblock"), default="dyadic")
+    p_cv.add_argument("--partition", choices=PARTITION_KINDS, default="dyadic")
     p_cv.add_argument("--seed", type=int, default=None)
     p_cv.add_argument("--out", required=True, help="output report JSON")
     p_cv.set_defaults(func=cmd_cv)
@@ -310,18 +305,20 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--standardize", action="store_true")
     p_bench.add_argument("--log-response", action="store_true")
     p_bench.add_argument("--curve", choices=CURVE_KINDS, default=None)
-    p_bench.add_argument("--d-values", default="4,8,12")
-    p_bench.add_argument("--noise-factors", default="0")
-    p_bench.add_argument("--n-grid", default="128,256,512,1024,2048,4096")
-    p_bench.add_argument("--method", choices=("nsim", "knn"), default="nsim")
-    p_bench.add_argument("--test-count", type=int, default=1000)
-    p_bench.add_argument("--repetitions", type=int, default=None)
-    p_bench.add_argument("--test-fraction", type=float, default=0.15)
-    p_bench.add_argument("--folds", type=int, default=5)
-    p_bench.add_argument("--j-grid", default=None)
-    p_bench.add_argument("--k-grid", default="1,2,4,8,16,32,64")
-    p_bench.add_argument("--eta", default=None)
-    p_bench.add_argument("--partition", choices=("dyadic", "equiblock"), default="dyadic")
+    # Options left unset are not passed on, so the harness's own defaults apply.
+    p_bench.add_argument("--d-values", type=_list_of(int, "D values"), default="4,8,12")
+    p_bench.add_argument("--noise-factors", type=_list_of(float, "noise factors"), default="0")
+    p_bench.add_argument("--n-grid", type=_list_of(int, "N grid"),
+                         default="128,256,512,1024,2048,4096")
+    p_bench.add_argument("--method", choices=SCHEDULE_METHODS)
+    p_bench.add_argument("--test-count", type=int)
+    p_bench.add_argument("--repetitions", type=int)
+    p_bench.add_argument("--test-fraction", type=float)
+    p_bench.add_argument("--folds", type=int)
+    p_bench.add_argument("--j-grid", type=_list_of(int, "J grid"))
+    p_bench.add_argument("--k-grid", type=_list_of(int, "k grid"))
+    p_bench.add_argument("--eta", type=_parse_eta)
+    p_bench.add_argument("--partition", choices=PARTITION_KINDS)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out-json", required=True)
     p_bench.add_argument("--out-csv", default=None)
@@ -329,8 +326,9 @@ def build_parser() -> _Parser:
 
     p_gram = sub.add_parser("gram", help="export Grammian CSVs for a list of J values")
     _add_dataset_flags(p_gram)
-    p_gram.add_argument("--j-list", required=True, help="comma-separated J values")
-    p_gram.add_argument("--partition", choices=("dyadic", "equiblock"), default="dyadic")
+    p_gram.add_argument("--j-list", type=_list_of(int, "J list"), required=True,
+                        help="comma-separated J values")
+    p_gram.add_argument("--partition", choices=PARTITION_KINDS, default="dyadic")
     p_gram.add_argument("--rank-tol", type=float, default=None)
     p_gram.add_argument("--out-dir", required=True)
     p_gram.set_defaults(func=cmd_gram)
@@ -338,31 +336,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _validate_benchmark_args(args) -> None:
-    if (args.data is None) == (args.curve is None):
-        raise UsageError("benchmark needs exactly one of --data (CSV mode) or --curve (synthetic)")
-    if args.data is not None:
-        if args.repetitions is None:
-            args.repetitions = 30
-        if args.j_grid is None:
-            args.j_grid = "1,2,4,8,16"
-        if args.eta is None:
-            args.eta = "inf"
-    else:
-        if args.repetitions is None:
-            args.repetitions = 10
-        if args.j_grid is None:
-            args.j_grid = "1,2,4,8"
-        if args.eta is None:
-            args.eta = "0.5"
-
-
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.command == "benchmark":
-            _validate_benchmark_args(args)
         return args.func(args)
     except NsimError as exc:
         print(f"nsim: error [{exc.code}] {exc}", file=sys.stderr)

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
+
+
+def check_count(value, name: str) -> int:
+    """``value`` (J, k, a repetition count) as an int if it is an integer
+    >= 1; a bool, a float or a fraction raises ``UsageError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_eta(eta) -> float:
+    """The restricting radius as a float; it must be positive or infinite."""
+    eta = float(eta)
+    if math.isnan(eta) or eta <= 0:
+        raise UsageError(f"eta must be positive or infinite, got {eta}")
+    return eta
 
 
 def _as_float_array(values, ndim: int, name: str) -> np.ndarray:

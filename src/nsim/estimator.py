@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, check_row_norms
+from .data import Dataset, check_count, check_eta, check_row_norms
 from .errors import DataError, InfeasibleFitError, NsimError, UsageError
+from .io import write_json
 from .linalg import cross_covariance, pseudo_inverse, sample_covariance
-from .metric import _check_eta
 from .partition import (
     ResponseInterval,
     ResponsePartition,
@@ -62,12 +62,6 @@ def _build_partition(kind: str, responses, j_count: int) -> ResponsePartition:
     raise UsageError(f"unknown partition kind {kind!r}; expected one of {PARTITION_KINDS}")
 
 
-def _check_fit_params(k: int, eta: float) -> float:
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    return _check_eta(eta)
-
-
 def fit(
     data: Dataset,
     j_count: int,
@@ -77,8 +71,12 @@ def fit(
     rank_tol: float | None = None,
 ) -> FittedNsim:
     """Build the response partition, fit the tangent field, and retain the
-    training data for neighbor search."""
-    eta = _check_fit_params(k, eta)
+    training data for neighbor search.
+
+    J and k must be integers >= 1 and eta positive or infinite; a bool, a
+    float or a fraction for J or k raises ``UsageError``."""
+    k = check_count(k, "k")
+    eta = check_eta(eta)
     try:
         partition = _build_partition(partition_kind, data.responses, j_count)
         tangents = fit_tangents(data, partition, rank_tol)
@@ -88,7 +86,7 @@ def fit(
         partition=partition,
         tangents=tangents,
         train=data,
-        k=int(k),
+        k=k,
         eta=eta,
         partition_kind=partition_kind,
         tangent_assignment=partition.sample_groups(),
@@ -111,34 +109,24 @@ def fit_split(
     Each prediction-half sample inherits the tangent of the geometry sample
     minimizing the proxy distance to it (lowest index on ties); with no
     geometry sample inside the restricting radius, the Euclidean-nearest
-    one is used instead.
+    one is used instead.  As for ``fit``, J and k must be integers >= 1 and
+    eta positive or infinite.  The partition's groups index the geometry
+    half.
     """
-    eta = _check_fit_params(k, eta)
     if geometry_half.d != prediction_half.d:
         raise DataError(
             f"geometry half dim {geometry_half.d} != prediction half dim {prediction_half.d}"
         )
-    try:
-        partition = _build_partition(partition_kind, geometry_half.responses, j_count)
-        tangents = fit_tangents(geometry_half, partition, rank_tol)
-    except NsimError as exc:
-        raise type(exc)(f"J={j_count}: {exc}") from exc
-
-    geo_assign = partition.sample_groups()
+    geometry = fit(geometry_half, j_count, k, eta, partition_kind, rank_tol)
     picks = _ranked_picks(
-        prediction_half.features, geometry_half.features, 1, (tangents.vectors, geo_assign), eta
+        prediction_half.features, geometry_half.features, 1,
+        (geometry.tangents.vectors, geometry.tangent_assignment), geometry.eta,
     )
     nearest = np.fromiter((p[0] for p in picks), dtype=np.intp, count=prediction_half.n)
-    assignment = geo_assign[nearest]
-
-    return FittedNsim(
-        partition=partition,
-        tangents=tangents,
+    return replace(
+        geometry,
         train=prediction_half,
-        k=int(k),
-        eta=eta,
-        partition_kind=partition_kind,
-        tangent_assignment=assignment,
+        tangent_assignment=geometry.tangent_assignment[nearest],
         algorithm="split",
     )
 
@@ -281,15 +269,13 @@ def two_thirds_k(n_train: int) -> int:
     return max(1, math.ceil(0.5 * n_train ** (2.0 / 3.0)))
 
 
-def k_values(ks) -> list[int]:
-    """One integer k, or a non-empty list, tuple, range or array of them,
-    as a list of ints; anything but ints >= 1 raises ``UsageError``."""
-    values = list(ks) if isinstance(ks, (list, tuple, range, np.ndarray)) else [ks]
-    if not values or any(
-        isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 for k in values
-    ):
-        raise UsageError(f"k must be an integer >= 1 or a non-empty sequence of them, got {ks!r}")
-    return [int(k) for k in values]
+def count_grid(values, name: str) -> list[int]:
+    """One count, or a non-empty list, tuple, range or array of them, as a
+    list of ints; each entry must pass ``check_count``."""
+    grid = list(values) if isinstance(values, (list, tuple, range, np.ndarray)) else [values]
+    if not grid:
+        raise UsageError(f"empty {name} grid")
+    return [check_count(value, name) for value in grid]
 
 
 def cross_validate(
@@ -300,28 +286,27 @@ def cross_validate(
     folds: int = 5,
     seed: int = 0,
     partition_kind: str = "dyadic",
-    rank_tol: float | None = None,
 ) -> CvReport:
     """Seeded k-fold grid search over (J, k).
 
-    ``k_rule`` is a fixed integer k, a non-empty sequence of them, or the
-    string "two-thirds".  The grid is k-major, J-minor: (J_1, k_1), (J_2, k_1),
-    ..., (J_1, k_2), ...; each (J, fold) is fitted once and scored for every
-    k.  ``selected`` is the first pair in grid order with the lowest mean
-    validation MSE, so ties go to the earlier k, then the earlier J.  An
-    infeasible (J, fold) is recorded in ``skipped`` once per k and excluded
-    from scoring; a pair whose folds all fail scores None.
+    ``j_grid`` is one J or a non-empty sequence of them; ``k_rule`` is a
+    fixed k, a non-empty sequence of them, or the string "two-thirds".  Every
+    J and k must be an integer >= 1 (a bool, a float or a fraction raises
+    ``UsageError`` before any fit).  The grid is k-major, J-minor: (J_1, k_1),
+    (J_2, k_1), ..., (J_1, k_2), ...; each (J, fold) is fitted once and
+    scored for every k.  ``selected`` is the first pair in grid order with
+    the lowest mean validation MSE, so ties go to the earlier k, then the
+    earlier J.  An infeasible (J, fold) is recorded in ``skipped`` once per k
+    and excluded from scoring; a pair whose folds all fail scores None.
     """
-    j_grid = [int(j) for j in j_grid]
-    if not j_grid:
-        raise UsageError("empty J grid")
+    j_grid = count_grid(j_grid, "J")
     if folds < 2:
         raise UsageError(f"folds must be >= 2, got {folds}")
     if folds > data.n:
         raise UsageError(f"folds ({folds}) exceed sample count ({data.n})")
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     two_thirds = isinstance(k_rule, str) and k_rule == "two-thirds"
-    grid_ks = [two_thirds_k(data.n)] if two_thirds else k_values(k_rule)
+    grid_ks = [two_thirds_k(data.n)] if two_thirds else count_grid(k_rule, "k")
 
     splits = []
     for train_idx, val_idx in fold_splits(data.n, folds, seed):
@@ -334,7 +319,7 @@ def cross_validate(
     for ji, j_count in enumerate(j_grid):
         for f, (fold_train, val_x, val_y, fold_ks) in enumerate(splits):
             try:
-                model = fit(fold_train, j_count, fold_ks[0], eta, partition_kind, rank_tol)
+                model = fit(fold_train, j_count, fold_ks[0], eta, partition_kind)
             except (InfeasibleFitError, DataError) as exc:
                 failed.append((j_count, f, str(exc)))
                 continue
@@ -379,22 +364,18 @@ def cv_report_to_dict(report: CvReport) -> dict:
         "folds": int(report.folds),
         "seed": int(report.seed),
         "k_rule": report.k_rule,
-        "eta": _eta_to_json(report.eta),
+        "eta": eta_to_json(report.eta),
         "partition_kind": report.partition_kind,
     }
 
 
-def cv_report_to_json(report: CvReport) -> str:
-    return json.dumps(cv_report_to_dict(report), indent=2, sort_keys=True)
-
-
 def baseline_knn_many(data: Dataset, queries, k: int) -> np.ndarray:
-    """Euclidean kNN average with the same lowest-index tie rule; k is
-    clamped to the sample count."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
+    """Euclidean kNN average with the same lowest-index tie rule.  k must be
+    an integer >= 1 (a bool, a float or a fraction raises ``UsageError``);
+    it is clamped to the sample count."""
+    k = check_count(k, "k")
     xs = _as_queries(queries, data.d)
-    picks = _ranked_picks(xs, data.features, min(int(k), data.n))
+    picks = _ranked_picks(xs, data.features, min(k, data.n))
     return np.fromiter((data.responses[p].mean() for p in picks), dtype=np.float64, count=len(xs))
 
 
@@ -414,7 +395,7 @@ def linreg_predict(weights, intercept: float, queries) -> np.ndarray:
     return xs @ weights + intercept
 
 
-def _eta_to_json(eta: float):
+def eta_to_json(eta: float):
     return "inf" if math.isinf(eta) else float(eta)
 
 
@@ -444,12 +425,8 @@ def model_to_dict(model: FittedNsim) -> dict:
         "train_features": model.train.features.tolist(),
         "train_responses": model.train.responses.tolist(),
         "k": int(model.k),
-        "eta": _eta_to_json(model.eta),
+        "eta": eta_to_json(model.eta),
     }
-
-
-def model_to_json(model: FittedNsim) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=True)
 
 
 def _whole_numbers(values, name: str) -> np.ndarray:
@@ -559,9 +536,7 @@ def model_from_dict(doc: dict) -> FittedNsim:
 
 
 def save_model(path, model: FittedNsim) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> FittedNsim:

@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_count, check_eta
 from .errors import DataError, InfeasibleFitError, UsageError
 from .estimator import (
     baseline_knn_many,
     baseline_linreg,
+    count_grid,
     cross_validate,
+    eta_to_json,
     fit,
     fold_splits,
-    k_values,
     linreg_predict,
     predict_many,
     two_thirds_k,
@@ -149,7 +150,6 @@ def run_schedule(
     j_grid_noisy=(1, 2, 4, 8),
     cv_folds: int = 5,
     test_count: int = 1000,
-    tube_radius: float = 0.25,
 ) -> list[ExperimentResult]:
     """Run the synthetic rate schedule for one curve.
 
@@ -157,12 +157,14 @@ def run_schedule(
     cells use k = ceil(0.5 * N^(2/3)) with J cross-validated over
     ``j_grid_noisy``.  Per-cell seeds derive deterministically from the
     master seed and the cell coordinates, so reruns and the kNN baseline
-    see identical data.  Infeasible cells are recorded and skipped.
+    see identical data in the ``SynthConfig`` default tube.  Infeasible cells
+    are recorded and skipped; bad parameters raise ``UsageError`` first.
     """
     if method not in SCHEDULE_METHODS:
         raise UsageError(f"unknown schedule method {method!r}; expected one of {SCHEDULE_METHODS}")
-    if repetitions < 1:
-        raise UsageError(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = check_count(repetitions, "repetitions")
+    eta = check_eta(eta)
+    j_grid_noisy = count_grid(j_grid_noisy, "J")
     curve = make_curve(curve_kind)
     results = []
 
@@ -173,10 +175,8 @@ def run_schedule(
             for n in n_grid:
                 for rep in range(repetitions):
                     train_seed, test_seed, cv_seed = _cell_seeds(seed, curve_kind, d, c, n, rep)
-                    train_ds, train_samples = _generate(curve, d, n, train_seed, tube_radius, c)
-                    test_ds, test_samples = _generate(
-                        curve, d, test_count, test_seed, tube_radius, c
-                    )
+                    train_ds, train_samples = _generate(curve, d, n, train_seed, c)
+                    test_ds, test_samples = _generate(curve, d, test_count, test_seed, c)
                     test_truth = true_link_values(
                         curve, np.array([s.t_true for s in test_samples])
                     )
@@ -223,14 +223,13 @@ def run_schedule(
     return results
 
 
-def _generate(curve, d, n, seed, tube_radius, c):
+def _generate(curve, d, n, seed, c):
     return generate(
         SynthConfig(
             curve=curve,
             ambient_dim=int(d),
             n_samples=int(n),
             seed=int(seed),
-            tube_radius=float(tube_radius),
             noise_factor=float(c),
         )
     )
@@ -341,7 +340,6 @@ def real_benchmark(
     j_grid=(1, 2, 4, 8, 16),
     k_grid=(1, 2, 4, 8, 16, 32, 64),
     eta: float = math.inf,
-    methods=BENCHMARK_METHODS,
 ) -> dict:
     """Repeated-split benchmark: per repetition, hold out a test fraction,
     tune hyperparameters by k-fold cross-validation on the rest, and report
@@ -349,15 +347,15 @@ def real_benchmark(
 
     A split on which a method raises ``InfeasibleFitError`` or ``DataError``
     is kept as a row with its ``reason`` and left out of that method's
-    ``splits_used`` and means; the other methods still report."""
+    ``splits_used`` and means; the other methods still report.  The J and k
+    grids and eta are checked before any work, by the rules of
+    ``cross_validate``."""
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if repetitions < 1:
-        raise UsageError(f"repetitions must be >= 1, got {repetitions}")
-    for m in methods:
-        if m not in BENCHMARK_METHODS:
-            raise UsageError(f"unknown benchmark method {m!r}")
-    k_grid = k_values(k_grid)
+    repetitions = check_count(repetitions, "repetitions")
+    j_grid = count_grid(j_grid, "J")
+    k_grid = count_grid(k_grid, "k")
+    eta = check_eta(eta)
 
     n_test = max(1, int(round(test_fraction * data.n)))
     if data.n - n_test < folds:
@@ -365,7 +363,7 @@ def real_benchmark(
             f"not enough training samples ({data.n - n_test}) for {folds}-fold CV"
         )
 
-    records: dict[str, list[dict]] = {m: [] for m in methods}
+    records: dict[str, list[dict]] = {m: [] for m in BENCHMARK_METHODS}
     split_rows: list[dict] = []
     for rep in range(repetitions):
         state = np.random.SeedSequence((int(seed), rep)).generate_state(2, dtype=np.uint64)
@@ -375,7 +373,7 @@ def real_benchmark(
         train_idx = np.sort(perm[n_test:])
         train, test = data.subset(train_idx), data.subset(test_idx)
 
-        for method in methods:
+        for method in BENCHMARK_METHODS:
             row = {"method": method, "rep": rep, "rmse": math.nan, "k": None, "J": None}
             try:
                 if method.startswith("nsim-"):
@@ -402,7 +400,7 @@ def real_benchmark(
             records[method].append(row)
 
     summary = {}
-    for method in methods:
+    for method in BENCHMARK_METHODS:
         rows = records[method]
         rmses = [r["rmse"] for r in rows]
         entry = {
@@ -425,9 +423,9 @@ def real_benchmark(
         "repetitions": repetitions,
         "test_fraction": test_fraction,
         "folds": folds,
-        "j_grid": [int(j) for j in j_grid],
-        "k_grid": [int(k) for k in k_grid],
-        "eta": "inf" if math.isinf(eta) else float(eta),
+        "j_grid": j_grid,
+        "k_grid": k_grid,
+        "eta": eta_to_json(eta),
         "seed": int(seed),
         "methods": summary,
         "splits": split_rows,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_count
 from .errors import DataError, UsageError
 
 CURVE_KINDS = ("line", "s_curve", "helix")
@@ -133,8 +133,7 @@ class SynthConfig:
             raise UsageError(f"tube_radius must be >= 0, got {self.tube_radius}")
         if self.noise_factor < 0:
             raise UsageError(f"noise_factor must be >= 0, got {self.noise_factor}")
-        if self.n_samples < 1:
-            raise UsageError(f"n_samples must be >= 1, got {self.n_samples}")
+        check_count(self.n_samples, "n_samples")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""CSV dataset ingestion and export.
+"""CSV dataset ingestion and export, and the one JSON writer.
 
 Dataset format: UTF-8, comma separated, one header row, feature columns
 followed by a single response column.  Numeric output uses 17 significant
@@ -8,6 +8,7 @@ digits so doubles round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,13 @@ def write_matrix_csv(path, matrix) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         for row in np.atleast_2d(arr):
             writer.writerow([format_float(v) for v in row])
+
+
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON and a newline, encoded whole, not streamed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write("\n")
 
 
 def write_rows_csv(path, rows) -> None:

@@ -9,18 +9,10 @@ is the float infinity, never a large finite sentinel.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DataError, UsageError
-
-
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if math.isnan(eta) or eta <= 0:
-        raise UsageError(f"eta must be positive or infinite, got {eta}")
-    return eta
+from .data import check_eta
+from .errors import DataError
 
 
 def proxy_distances(x, candidates, tangents, eta: float) -> np.ndarray:
@@ -38,7 +30,7 @@ def proxy_distances(x, candidates, tangents, eta: float) -> np.ndarray:
         raise DataError(
             f"one tangent per candidate required: {tangents.shape} vs {candidates.shape}"
         )
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
 
     diffs = candidates - x
     within = np.einsum("nd,nd->n", diffs, diffs) <= eta * eta

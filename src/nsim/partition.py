@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .data import check_count
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ def dyadic_partition(responses, j_count: int) -> ResponsePartition:
     only partitionable with J = 1.
     """
     arr = _validated_responses(responses)
-    if j_count < 1:
-        raise UsageError(f"J must be >= 1, got {j_count}")
+    j_count = check_count(j_count, "J")
     lo, hi = float(arr.min()), float(arr.max())
     if j_count > 1 and lo == hi:
         raise DataError("degenerate response range: constant responses need J = 1")
@@ -93,8 +93,7 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     the adjacent boundary responses.
     """
     arr = _validated_responses(responses)
-    if j_count < 1:
-        raise UsageError(f"J must be >= 1, got {j_count}")
+    j_count = check_count(j_count, "J")
     n = arr.size
     if j_count > n:
         raise DataError(f"J ({j_count}) exceeds sample count ({n})")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import nsim
+from nsim import cli
 from nsim.cli import main
 from nsim.data import Dataset
 from nsim.errors import DataError
@@ -29,9 +31,28 @@ def run_cli(*args, env=None, monkeypatch=None):
     return main([str(a) for a in args])
 
 
+def run_module(*args):
+    """``python -m nsim.cli`` in a fresh interpreter that imports this nsim."""
+    src = Path(nsim.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "nsim.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "cv", "synth", "benchmark", "gram"])
+def test_help_exits_cleanly(command):
+    proc = run_module(command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: nsim " + command in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestIngest:
@@ -264,14 +285,8 @@ class TestFitPredictCommands:
         MODEL_CORRUPTIONS[corruption](doc)
         model.write_text(json.dumps(doc))
         queries = write_csv(tmp_path / "q.csv", "a,b,c,d\n0.1,0.2,0.3,0.4\n")
-
-        src = Path(nsim.__file__).resolve().parent.parent
-        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsim.cli", "predict", "--model", str(model),
-             "--data", str(queries), "--out", str(tmp_path / "p.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = run_module(
+            "predict", "--model", model, "--data", queries, "--out", tmp_path / "p.csv"
         )
         assert proc.returncode == 2, proc.stderr
         assert "nsim: error [data]" in proc.stderr
@@ -332,6 +347,18 @@ class TestCvCommand:
         )
         assert code == 1
 
+    def test_k_and_k_rule_together_is_usage_error(
+        self, tmp_path, monkeypatch, synth_files, capsys
+    ):
+        data, _ = synth_files
+        code = run_cli(
+            "cv", "--data", data, "--k", 3, "--k-rule", "two-thirds", "--seed", 1,
+            "--out", tmp_path / "r.json", monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert "nsim: error [usage]" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestGramCommand:
     def test_single_cell_for_j1(self, tmp_path, monkeypatch, synth_files):
@@ -387,6 +414,54 @@ class TestBenchmarkCommand:
         assert code == 0
         report = json.loads(out_json.read_text())
         assert set(report["methods"]) == {"nsim-dyadic", "nsim-equiblock", "linreg", "knn"}
+
+    @staticmethod
+    def record_calls(monkeypatch, name, result):
+        """Replace ``cli.<name>`` by a stub that records its arguments,
+        defaults filled in from the real harness's signature."""
+        signature = inspect.signature(getattr(cli, name))
+        calls = []
+
+        def stub(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return result
+
+        monkeypatch.setattr(cli, name, stub)
+        return calls
+
+    def test_data_mode_defaults(self, tmp_path, monkeypatch, synth_files):
+        calls = self.record_calls(monkeypatch, "real_benchmark", {"splits": []})
+        data, _ = synth_files
+        code = run_cli(
+            "benchmark", "--data", data, "--seed", 6, "--out-json", tmp_path / "b.json",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        (args,) = calls
+        assert args["repetitions"] == 30
+        assert list(args["j_grid"]) == [1, 2, 4, 8, 16]
+        assert list(args["k_grid"]) == [1, 2, 4, 8, 16, 32, 64]
+        assert args["eta"] == math.inf
+        assert args["folds"] == 5
+        assert args["test_fraction"] == 0.15
+
+    def test_curve_mode_defaults(self, tmp_path, monkeypatch):
+        calls = self.record_calls(monkeypatch, "run_schedule", [])
+        code = run_cli(
+            "benchmark", "--curve", "line", "--seed", 6, "--out-json", tmp_path / "s.json",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        (args,) = calls
+        assert args["repetitions"] == 10
+        assert list(args["j_grid_noisy"]) == [1, 2, 4, 8]
+        assert args["eta"] == 0.5
+        assert args["cv_folds"] == 5
+        assert args["test_count"] == 1000
+        assert args["partition_kind"] == "dyadic"
+        assert args["method"] == "nsim"
 
     def test_modes_are_mutually_exclusive(self, tmp_path, monkeypatch, synth_files, capsys):
         data, _ = synth_files

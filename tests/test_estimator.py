@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -13,13 +14,12 @@ from nsim.estimator import (
     baseline_knn_many,
     baseline_linreg,
     cross_validate,
-    cv_report_to_json,
+    cv_report_to_dict,
     fit,
     fit_split,
     linreg_predict,
     model_from_dict,
     model_to_dict,
-    model_to_json,
     predict_many,
     two_thirds_k,
 )
@@ -83,12 +83,18 @@ class TestFit:
 
     def test_rejects_bad_k_eta_kind(self):
         data = line_dataset()
-        with pytest.raises(UsageError):
-            fit(data, 1, 0)
-        with pytest.raises(UsageError):
-            fit(data, 1, 1, eta=-1.0)
-        with pytest.raises(UsageError):
-            fit(data, 1, 1, partition_kind="random")
+        bad = [
+            (1, 0, {}),
+            (1, 2.7, {}),  # not truncated to k = 2
+            (1, True, {}),  # not taken as k = 1
+            (2.5, 1, {}),  # not a TypeError from slicing
+            (0, 1, {}),
+            (1, 1, {"eta": -1.0}),
+            (1, 1, {"partition_kind": "random"}),
+        ]
+        for j_count, k, kwargs in bad:
+            with pytest.raises(UsageError):
+                fit(data, j_count, k, **kwargs)
 
 
 class TestPredict:
@@ -352,6 +358,11 @@ class TestFitSplit:
         with pytest.raises(DataError):
             fit_split(geometry, prediction, 1, 1)
 
+    def test_fractional_k_rejected(self):
+        geometry = line_dataset(n=60, seed=1)
+        with pytest.raises(UsageError):
+            fit_split(geometry, line_dataset(n=50, seed=2), 1, 2.7)
+
 
 class TestCrossValidate:
     def test_single_pair_report(self):
@@ -371,7 +382,7 @@ class TestCrossValidate:
         dataset, _ = synth(n=150, seed=46, c=0.1)
         a = cross_validate(dataset, [1, 2, 4], "two-thirds", eta=0.5, folds=5, seed=11)
         b = cross_validate(dataset, [1, 2, 4], "two-thirds", eta=0.5, folds=5, seed=11)
-        assert cv_report_to_json(a) == cv_report_to_json(b)
+        assert json.dumps(cv_report_to_dict(a)) == json.dumps(cv_report_to_dict(b))
 
     def test_two_thirds_rule_k_values(self):
         dataset, _ = synth(n=100, seed=47)
@@ -458,6 +469,12 @@ class TestCrossValidate:
         with pytest.raises(UsageError):
             cross_validate(dataset, [1], k_rule, folds=3, seed=0)
 
+    @pytest.mark.parametrize("j_grid", [[2.5], [2.5, 4], [0], [True], []])
+    def test_bad_j_grid_is_a_usage_error(self, j_grid):
+        dataset, _ = synth(n=30, seed=53)
+        with pytest.raises(UsageError):
+            cross_validate(dataset, j_grid, 1, folds=3, seed=0)
+
 
 class TestRowNormBound:
     """Rows whose squared norm exceeds max_float / 8 are rejected, so the
@@ -499,6 +516,12 @@ class TestBaselineKnn:
     def test_k_larger_than_n_clamps(self):
         data = Dataset([[0.0], [2.0]], [5.0, 9.0])
         assert baseline_knn_many(data, np.array([0.0]), 10)[0] == 7.0
+
+    @pytest.mark.parametrize("k", [0, 2.7, True])
+    def test_k_must_be_a_positive_integer(self, k):
+        data = line_dataset()
+        with pytest.raises(UsageError):
+            baseline_knn_many(data, data.features[:2], k)
 
 
 class TestBaselineLinreg:
@@ -547,9 +570,7 @@ class TestSerialization:
     def test_round_trip_through_json_text(self):
         dataset, _ = synth(n=80, seed=56)
         model = fit(dataset, 2, 1, eta=math.inf)
-        import json
-
-        restored = model_from_dict(json.loads(model_to_json(model)))
+        restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert math.isinf(restored.eta)
         queries = np.random.default_rng(7).normal(size=(25, 4))
         assert np.array_equal(predict_many(restored, queries), predict_many(model, queries))

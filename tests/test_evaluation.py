@@ -146,6 +146,11 @@ class TestRunSchedule:
         with pytest.raises(UsageError):
             run_schedule("line", **SMALL_GRID, method="forest")
 
+    @pytest.mark.parametrize("method", ["nsim", "knn"])
+    def test_bad_eta_rejected(self, method):
+        with pytest.raises(UsageError):
+            run_schedule("line", **SMALL_GRID, method=method, eta=-1)
+
     def test_aggregation_commutes_with_repetition_order(self):
         result = run_schedule("line", **SMALL_GRID)[0]
         for pos, n in enumerate(result.n_values):
@@ -208,15 +213,27 @@ class TestRealBenchmark:
         for method in ("nsim-dyadic", "nsim-equiblock", "knn"):
             assert report["methods"][method]["splits_used"] == 2
 
-    @pytest.mark.parametrize("k_grid", [(), (True,), (2, 0), (1.5,), (-1,), "4"])
-    def test_bad_k_grid_fails_before_any_work(self, monkeypatch, k_grid):
+    @pytest.fixture
+    def no_work(self, monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("ran before the k grid was validated")
+            raise AssertionError("ran before the parameters were validated")
 
         for name in ("cross_validate", "fit", "baseline_knn_many", "baseline_linreg"):
             monkeypatch.setattr(evaluation, name, no_work)
+
+    @pytest.mark.parametrize("k_grid", [(), (True,), (2, 0), (1.5,), (-1,), "4"])
+    def test_bad_k_grid_fails_before_any_work(self, no_work, k_grid):
         with pytest.raises(UsageError):
             real_benchmark(small_real_dataset(), 1, repetitions=1, folds=3, k_grid=k_grid)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"j_grid": (2.5,)}, {"j_grid": (0,)}, {"eta": -1}, {"eta": math.nan}],
+        ids=["j_grid=2.5", "j_grid=0", "eta=-1", "eta=nan"],
+    )
+    def test_bad_j_grid_or_eta_fails_before_any_work(self, no_work, options):
+        with pytest.raises(UsageError):
+            real_benchmark(small_real_dataset(), 1, repetitions=1, folds=3, **options)
 
     def test_test_fraction_validation(self):
         data = small_real_dataset()
