@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import check_eta
+from .data import check_eta, check_seed
 from .errors import DataError, NsimError, UsageError
 from .estimator import (
     PARTITION_KINDS,
@@ -90,9 +90,7 @@ def _resolve_seed(seed) -> int:
             seed = int(env)
         except ValueError:
             raise UsageError(f"invalid {SEED_ENV} value {env!r}") from None
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    return int(seed)
+    return check_seed(seed)
 
 
 def _load_dataset(args):

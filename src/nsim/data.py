@@ -10,12 +10,23 @@ import numpy as np
 from .errors import DataError, UsageError
 
 
-def check_count(value, name: str) -> int:
-    """``value`` (J, k, a repetition count) as an int if it is an integer
-    >= 1; a bool, a float or a fraction raises ``UsageError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` (J, k, a repetition or fold count) as an int if it is an
+    integer >= ``minimum``; a bool, a float or a fraction raises
+    ``UsageError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_folds(folds) -> int:
+    """A cross-validation fold count as an int; it must be an integer >= 2."""
+    return check_count(folds, "folds", minimum=2)
+
+
+def check_seed(seed) -> int:
+    """A random seed as an int; it must be an integer >= 0 (not a bool)."""
+    return check_count(seed, "seed", minimum=0)
 
 
 def check_eta(eta) -> float:

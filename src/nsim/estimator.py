@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, check_count, check_eta, check_row_norms
+from .data import Dataset, check_count, check_eta, check_folds, check_row_norms, check_seed
 from .errors import DataError, InfeasibleFitError, NsimError, UsageError
 from .io import write_json
 from .linalg import cross_covariance, pseudo_inverse, sample_covariance
@@ -122,7 +122,7 @@ def fit_split(
         prediction_half.features, geometry_half.features, 1,
         (geometry.tangents.vectors, geometry.tangent_assignment), geometry.eta,
     )
-    nearest = np.fromiter((p[0] for p in picks), dtype=np.intp, count=prediction_half.n)
+    nearest = np.concatenate([p[:1] if p.ndim == 1 else p[:, 0] for p in picks])
     return replace(
         geometry,
         train=prediction_half,
@@ -173,7 +173,7 @@ def _smallest(row, k: int) -> np.ndarray:
 
 
 def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
-    """Yield, per query row, the indices of its k nearest training rows in
+    """Yield the indices of each query's k nearest training rows in
     (distance, index) order, so ties go to the lower index.
 
     With ``proxy = (vectors, assignment)`` the distance to row i is the
@@ -181,6 +181,11 @@ def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
     computed as |a_i^T x - a_i^T X_i| with the second dot product taken once.
     Without it the distance is Euclidean.  Fewer than k rows inside the
     radius eta are all picked; with none, the Euclidean-nearest row alone is.
+
+    With a finite eta each query gets its own 1-d array, since the number
+    of picks varies; every other search yields one (rows x min(k, N)) block
+    per query chunk.  In both forms the first k' picks are the picks for
+    any k' < k, so one ranking serves a whole k grid.
 
     Per query, a finite eta costs the O(N D) Euclidean radius block plus
     O(J D); proxy distances and selection then run over the in-radius rows
@@ -212,26 +217,64 @@ def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
             dist = np.abs((block @ vectors.T)[:, assignment] - offsets[None, :])
         if k == 1:
             # argmin takes the first minimum, i.e. the lowest index on ties
-            yield from np.argmin(dist, axis=1)[:, None]
-            continue
-        for row in dist:
-            yield _smallest(row, k)
+            picks = np.argmin(dist, axis=1)[:, None]
+        else:
+            picks = np.empty((stop - start, min(k, n)), dtype=np.intp)
+            for i, row in enumerate(dist):
+                picks[i] = _smallest(row, k)
+        del dist  # free the distance block while the caller holds the picks
+        yield picks
 
 
-def predict_many(model: FittedNsim, queries) -> np.ndarray:
+def _is_grid(k) -> bool:
+    """Whether ``k`` asks for a grid (a sequence or a 1-d array) rather
+    than one count."""
+    return isinstance(k, (list, tuple, range)) or (isinstance(k, np.ndarray) and k.ndim == 1)
+
+
+def _first_k_means(picks, responses, k: int):
+    """Per query, the mean response over its first k picks; a block of
+    picks is averaged in one call, which matches the per-row mean bit for
+    bit (a cumulative-sum prefix would not)."""
+    for p in picks:
+        if p.ndim == 1:
+            yield responses[p[:k]].mean()
+        else:
+            yield from responses[p[:, :k]].mean(axis=1)
+
+
+def _grid_means(picks, responses, ks, n_queries: int) -> np.ndarray:
+    """(len(ks), n_queries) array whose row i averages each query's first
+    ks[i] picks; a grid ranks once and is scored from the kept picks."""
+    if len(ks) > 1:
+        picks = list(picks)
+    out = np.empty((len(ks), n_queries))
+    for i, k in enumerate(ks):
+        out[i] = np.fromiter(
+            _first_k_means(picks, responses, k), dtype=np.float64, count=n_queries
+        )
+    return out
+
+
+def predict_many(model: FittedNsim, queries, k=None) -> np.ndarray:
     """Mean response of the k proxy-metric-nearest training samples, per
     query row.
 
     Fewer than k candidates inside the restricting radius are averaged as-is;
-    with none, the Euclidean-nearest training response is returned.
+    with none, the Euclidean-nearest training response is returned.  ``k``
+    is ``None`` for ``model.k``, one integer >= 1, or a non-empty sequence of
+    them (checked by ``count_grid``).  A sequence returns a
+    (len(k), n_queries) array from one neighbour ranking with max(k); row i
+    equals the single-k call with k[i] bit for bit.
     """
     xs = _as_queries(queries, model.train.d)
+    ks = [model.k] if k is None else count_grid(k, "k")
     picks = _ranked_picks(
-        xs, model.train.features, model.k, (model.tangents.vectors, model.tangent_assignment),
-        model.eta,
+        xs, model.train.features, max(ks),
+        (model.tangents.vectors, model.tangent_assignment), model.eta,
     )
-    responses = model.train.responses
-    return np.fromiter((responses[p].mean() for p in picks), dtype=np.float64, count=len(xs))
+    means = _grid_means(picks, model.train.responses, ks, len(xs))
+    return means if _is_grid(k) else means[0]
 
 
 @dataclass(frozen=True)
@@ -270,9 +313,9 @@ def two_thirds_k(n_train: int) -> int:
 
 
 def count_grid(values, name: str) -> list[int]:
-    """One count, or a non-empty list, tuple, range or array of them, as a
-    list of ints; each entry must pass ``check_count``."""
-    grid = list(values) if isinstance(values, (list, tuple, range, np.ndarray)) else [values]
+    """One count, or a non-empty list, tuple, range or 1-d array of them, as
+    a list of ints; each entry must pass ``check_count``."""
+    grid = list(values) if _is_grid(values) else [values]
     if not grid:
         raise UsageError(f"empty {name} grid")
     return [check_count(value, name) for value in grid]
@@ -292,16 +335,18 @@ def cross_validate(
     ``j_grid`` is one J or a non-empty sequence of them; ``k_rule`` is a
     fixed k, a non-empty sequence of them, or the string "two-thirds".  Every
     J and k must be an integer >= 1 (a bool, a float or a fraction raises
-    ``UsageError`` before any fit).  The grid is k-major, J-minor: (J_1, k_1),
-    (J_2, k_1), ..., (J_1, k_2), ...; each (J, fold) is fitted once and
-    scored for every k.  ``selected`` is the first pair in grid order with
-    the lowest mean validation MSE, so ties go to the earlier k, then the
-    earlier J.  An infeasible (J, fold) is recorded in ``skipped`` once per k
-    and excluded from scoring; a pair whose folds all fail scores None.
+    ``UsageError`` before any fit), ``folds`` an integer >= 2 and ``seed`` an
+    integer >= 0.  The grid is k-major, J-minor: (J_1, k_1), (J_2, k_1), ...,
+    (J_1, k_2), ...; each (J, fold) is fitted once, and one ``predict_many``
+    call ranks its validation rows once and scores every k.  ``selected`` is
+    the first pair in grid order with the lowest mean validation MSE, so
+    ties go to the earlier k, then the earlier J.  An infeasible (J, fold)
+    is recorded in ``skipped`` once per k and excluded from scoring; a pair
+    whose folds all fail scores None.
     """
     j_grid = count_grid(j_grid, "J")
-    if folds < 2:
-        raise UsageError(f"folds must be >= 2, got {folds}")
+    folds = check_folds(folds)
+    seed = check_seed(seed)
     if folds > data.n:
         raise UsageError(f"folds ({folds}) exceed sample count ({data.n})")
     eta = check_eta(eta)
@@ -323,8 +368,7 @@ def cross_validate(
             except (InfeasibleFitError, DataError) as exc:
                 failed.append((j_count, f, str(exc)))
                 continue
-            for ki, k_fold in enumerate(fold_ks):
-                preds = predict_many(replace(model, k=k_fold), val_x)
+            for ki, preds in enumerate(predict_many(model, val_x, fold_ks)):
                 mses[ki][ji].append(float(np.mean((preds - val_y) ** 2)))
 
     grid = tuple((j, k) for k in grid_ks for j in j_grid)
@@ -344,7 +388,7 @@ def cross_validate(
         selected=selected,
         skipped=skipped,
         folds=folds,
-        seed=int(seed),
+        seed=seed,
         k_rule="two-thirds" if two_thirds else "fixed",
         eta=eta,
         partition_kind=partition_kind,
@@ -369,14 +413,16 @@ def cv_report_to_dict(report: CvReport) -> dict:
     }
 
 
-def baseline_knn_many(data: Dataset, queries, k: int) -> np.ndarray:
-    """Euclidean kNN average with the same lowest-index tie rule.  k must be
-    an integer >= 1 (a bool, a float or a fraction raises ``UsageError``);
-    it is clamped to the sample count."""
-    k = check_count(k, "k")
+def baseline_knn_many(data: Dataset, queries, k) -> np.ndarray:
+    """Euclidean kNN average with the same lowest-index tie rule.  k is an
+    integer >= 1 (a bool, a float or a fraction raises ``UsageError``) or a
+    non-empty sequence of them; each is clamped to the sample count.  A
+    sequence returns a (len(k), n_queries) array from one ranking with the
+    largest k, whose row i equals the single-k call with k[i] bit for bit."""
+    ks = [min(value, data.n) for value in count_grid(k, "k")]
     xs = _as_queries(queries, data.d)
-    picks = _ranked_picks(xs, data.features, min(k, data.n))
-    return np.fromiter((data.responses[p].mean() for p in picks), dtype=np.float64, count=len(xs))
+    means = _grid_means(_ranked_picks(xs, data.features, max(ks)), data.responses, ks, len(xs))
+    return means if _is_grid(k) else means[0]
 
 
 def baseline_linreg(data: Dataset) -> tuple[np.ndarray, float]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_count, check_eta
+from .data import Dataset, check_count, check_eta, check_folds, check_seed
 from .errors import DataError, InfeasibleFitError, UsageError
 from .estimator import (
     baseline_knn_many,
@@ -163,6 +163,7 @@ def run_schedule(
     if method not in SCHEDULE_METHODS:
         raise UsageError(f"unknown schedule method {method!r}; expected one of {SCHEDULE_METHODS}")
     repetitions = check_count(repetitions, "repetitions")
+    seed = check_seed(seed)
     eta = check_eta(eta)
     j_grid_noisy = count_grid(j_grid_noisy, "J")
     curve = make_curve(curve_kind)
@@ -353,6 +354,8 @@ def real_benchmark(
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
     repetitions = check_count(repetitions, "repetitions")
+    folds = check_folds(folds)
+    seed = check_seed(seed)
     j_grid = count_grid(j_grid, "J")
     k_grid = count_grid(k_grid, "k")
     eta = check_eta(eta)
@@ -434,13 +437,12 @@ def real_benchmark(
 
 def _knn_cv(train: Dataset, k_grid, folds: int, seed: int) -> int:
     """The k in ``k_grid`` with the lowest mean validation MSE; the first
-    such k on ties."""
+    such k on ties.  Each fold ranks its validation rows once, for the
+    whole grid."""
     mses = [[] for _ in k_grid]
     for train_idx, val_idx in fold_splits(train.n, folds, seed):
-        fold_train = train.subset(train_idx)
         val_x, val_y = train.features[val_idx], train.responses[val_idx]
-        for i, k in enumerate(k_grid):
-            preds = baseline_knn_many(fold_train, val_x, k)
+        for i, preds in enumerate(baseline_knn_many(train.subset(train_idx), val_x, k_grid)):
             mses[i].append(float(np.mean((preds - val_y) ** 2)))
     best = min(range(len(k_grid)), key=lambda i: float(np.mean(mses[i])))
     return k_grid[best]

@@ -90,7 +90,8 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     """J contiguous blocks of the response-ordered indices, sizes within 1.
 
     Larger blocks come first; interval boundaries sit at midpoints between
-    the adjacent boundary responses.
+    the adjacent boundary responses, or at the upper one when the midpoint
+    of two adjacent doubles rounds down onto the lower.
     """
     arr = _validated_responses(responses)
     j_count = check_count(j_count, "J")
@@ -101,11 +102,14 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     order = np.argsort(arr, kind="stable")
     base, extra = divmod(n, j_count)
     sizes = [base + 1] * extra + [base] * (j_count - extra)
-    splits = np.cumsum(sizes[:-1])
+    splits = np.cumsum(sizes[:-1], dtype=np.intp)
     groups = tuple(np.split(order, splits))
 
+    below, above = arr[order[splits - 1]], arr[order[splits]]
+    mid = (below + above) / 2.0
     edges = np.empty(j_count + 1)
     edges[0], edges[-1] = arr.min(), arr.max()
-    for j, cut in enumerate(splits):
-        edges[j + 1] = (arr[order[cut - 1]] + arr[order[cut]]) / 2.0
+    # the midpoint of adjacent doubles can round down onto the lower one,
+    # which would leave it outside its right-open interval
+    edges[1:-1] = np.where((mid <= below) & (below < above), above, mid)
     return ResponsePartition(_intervals_from_edges(edges), groups)

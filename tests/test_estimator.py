@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -243,6 +244,62 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
 
 
 @st.composite
+def grid_problems(draw):
+    """A tied problem with its radius redrawn (0.25 sends most half-integer
+    queries to the Euclidean fallback, 1.5 leaves many short of k) and a k
+    grid, unordered and with repeats, that can reach past N."""
+    model, queries, budget = draw(tied_problems())
+    eta = draw(st.sampled_from([0.25, 1.5, math.inf]))
+    grid = draw(st.lists(st.integers(1, model.train.n + 3), min_size=1, max_size=5))
+    return replace(model, eta=eta), queries, budget, grid
+
+
+def ranked_once(call, *args):
+    """``call(*args)`` and the k of its one ``_ranked_picks`` call."""
+    with mock.patch.object(estimator, "_ranked_picks", wraps=estimator._ranked_picks) as ranked:
+        out = call(*args)
+    assert ranked.call_count == 1
+    return out, ranked.call_args.args[2]
+
+
+@given(grid_problems())
+@settings(max_examples=200, deadline=None)
+def test_predict_k_grid_rows_match_single_k_calls(problem):
+    model, queries, budget, grid = problem
+    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+        got, ranked_k = ranked_once(predict_many, model, queries, grid)
+        assert ranked_k == max(grid)
+        assert got.shape == (len(grid), len(queries))
+        for row, k in zip(got, grid):
+            assert np.array_equal(row, predict_many(replace(model, k=k), queries))
+            assert np.array_equal(row, predict_many(model, queries, k))
+
+
+@given(grid_problems())
+@settings(max_examples=200, deadline=None)
+def test_baseline_k_grid_rows_match_single_k_calls(problem):
+    model, queries, budget, grid = problem
+    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+        got, ranked_k = ranked_once(baseline_knn_many, model.train, queries, grid)
+        assert ranked_k == min(max(grid), model.train.n)
+        assert got.shape == (len(grid), len(queries))
+        for row, k in zip(got, grid):
+            assert np.array_equal(row, baseline_knn_many(model.train, queries, k))
+
+
+@pytest.mark.parametrize(
+    "k", [[], [0], [2, 0], [True], [1.5], 0, 2.5, True, "4", np.array(3), np.ones((2, 2), int)]
+)
+def test_bad_k_grid_is_a_usage_error(k):
+    data = line_dataset()
+    model = fit(data, 2, 3)
+    with pytest.raises(UsageError):
+        predict_many(model, data.features[:4], k)
+    with pytest.raises(UsageError):
+        baseline_knn_many(data, data.features[:4], k)
+
+
+@st.composite
 def split_problems(draw):
     """Integer geometry rows with duplicates and half-integer prediction rows
     reaching past the geometry's range, so exact ties, in-radius boundary
@@ -460,7 +517,8 @@ class TestCrossValidate:
         for name in calls:
             monkeypatch.setattr(estimator, name, counted(name))
         report = cross_validate(dataset, [1, 2], [1, 3, 5], folds=3, seed=7)
-        assert calls == {"fit": 2 * 3, "predict_many": 2 * 3 * 3}
+        # one predict_many per (J, fold) scores the whole k grid
+        assert calls == {"fit": 2 * 3, "predict_many": 2 * 3}
         assert len(report.grid) == 6
 
     @pytest.mark.parametrize("k_rule", [[], [0], [True], [1.5], "three", 0, True, 2.0])
@@ -474,6 +532,17 @@ class TestCrossValidate:
         dataset, _ = synth(n=30, seed=53)
         with pytest.raises(UsageError):
             cross_validate(dataset, j_grid, 1, folds=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"folds": 2.5}, {"folds": True}, {"seed": -1}, {"seed": True}, {"seed": 1.5}],
+        ids=["folds=2.5", "folds=True", "seed=-1", "seed=True", "seed=1.5"],
+    )
+    def test_bad_folds_or_seed_is_a_usage_error(self, options):
+        dataset, _ = synth(n=30, seed=53)
+        kwargs = {"folds": 3, "seed": 0, **options}
+        with pytest.raises(UsageError):
+            cross_validate(dataset, [1], 1, **kwargs)
 
 
 class TestRowNormBound:

@@ -151,6 +151,10 @@ class TestRunSchedule:
         with pytest.raises(UsageError):
             run_schedule("line", **SMALL_GRID, method=method, eta=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError):
+            run_schedule("line", **{**SMALL_GRID, "seed": -1})
+
     def test_aggregation_commutes_with_repetition_order(self):
         result = run_schedule("line", **SMALL_GRID)[0]
         for pos, n in enumerate(result.n_values):
@@ -234,6 +238,16 @@ class TestRealBenchmark:
     def test_bad_j_grid_or_eta_fails_before_any_work(self, no_work, options):
         with pytest.raises(UsageError):
             real_benchmark(small_real_dataset(), 1, repetitions=1, folds=3, **options)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"folds": 2.5}, {"folds": 1}, {"seed": -1}, {"seed": True}],
+        ids=["folds=2.5", "folds=1", "seed=-1", "seed=True"],
+    )
+    def test_bad_folds_or_seed_fails_before_any_work(self, no_work, options):
+        kwargs = {"seed": 1, "repetitions": 1, "folds": 3, **options}
+        with pytest.raises(UsageError):
+            real_benchmark(small_real_dataset(), **kwargs)
 
     def test_test_fraction_validation(self):
         data = small_real_dataset()

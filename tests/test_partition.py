@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsim.errors import DataError, UsageError
@@ -143,6 +143,8 @@ class TestPartitionProperties:
             assert np.array_equal(located, part.sample_groups())
 
     @given(responses_and_j(unique=True))
+    @example((np.array([1.0, np.nextafter(1.0, 2.0)]), 2))  # midpoint rounds onto 1.0
+    @example((np.array([0.0, 5e-324]), 2))  # midpoint rounds onto 0.0
     @settings(max_examples=100, deadline=None)
     def test_groups_match_interval_containment(self, case):
         # documented caveat: equiblock ties straddling a block boundary make
