@@ -12,6 +12,7 @@ right-open rule gives for its response value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,16 @@ def dyadic_partition(responses, j_count: int) -> ResponsePartition:
     if j_count > 1 and lo == hi:
         raise DataError("degenerate response range: constant responses need J = 1")
 
-    edges = lo + (hi - lo) * np.arange(j_count + 1) / j_count
+    if math.isfinite((hi - lo) * j_count):
+        edges = lo + (hi - lo) * np.arange(j_count + 1) / j_count
+    else:  # the span overflows near float max; a convex combination of the ends cannot
+        frac = np.arange(j_count + 1) / j_count
+        edges = lo * (1.0 - frac) + hi * frac
     edges[0], edges[-1] = lo, hi
     member = np.searchsorted(edges[1:j_count], arr, side="right")
-    groups = tuple(np.flatnonzero(member == j) for j in range(j_count))
+    # a stable sort keeps each group's indices ascending
+    order = np.argsort(member, kind="stable")
+    groups = tuple(np.split(order, np.cumsum(np.bincount(member, minlength=j_count))[:-1]))
     return ResponsePartition(_intervals_from_edges(edges), groups)
 
 
@@ -106,7 +113,10 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     groups = tuple(np.split(order, splits))
 
     below, above = arr[order[splits - 1]], arr[order[splits]]
-    mid = (below + above) / 2.0
+    with np.errstate(over="ignore"):
+        mid = (below + above) / 2.0
+    # where the sum of two responses near float max overflowed, halve before adding
+    mid = np.where(np.isfinite(mid), mid, below / 2.0 + above / 2.0)
     edges = np.empty(j_count + 1)
     edges[0], edges[-1] = arr.min(), arr.max()
     # the midpoint of adjacent doubles can round down onto the lower one,

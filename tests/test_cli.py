@@ -271,6 +271,21 @@ class TestFitPredictCommands:
         assert code == 3
         assert "[infeasible-fit]" in capsys.readouterr().err
 
+    def test_responses_near_float_max_are_a_data_error(self, tmp_path):
+        # level-set means overflow; the fit used to write NaN index vectors
+        rng = np.random.default_rng(0)
+        data = tmp_path / "huge.csv"
+        write_dataset_csv(data, Dataset(rng.normal(size=(200, 3)), rng.uniform(-1, 1, 200) * 1.7e308))
+        proc = run_module(
+            "fit", "--data", data, "--J", 2, "--k", 3, "--partition", "equiblock",
+            "--out", tmp_path / "m.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "nsim: error [data]" in proc.stderr
+        assert "non-finite regression direction in level set 0" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
     def test_corrupted_model_is_a_data_error(
         self, tmp_path, monkeypatch, synth_files, corruption

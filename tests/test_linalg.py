@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsim.errors import DataError
+from nsim.errors import DataError, UsageError
 from nsim.linalg import cross_covariance, pseudo_inverse, sample_covariance
 
 
@@ -152,3 +152,33 @@ class TestPseudoInverse:
     def test_non_square_rejected(self):
         with pytest.raises(DataError, match="square"):
             pseudo_inverse(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("rank_tol", [None, 1e-3])
+    def test_stack_equals_the_per_matrix_calls(self, rank_tol):
+        # full rank, rank deficient (a duplicated column), all zero and 1 x 1
+        # matrices; each is inverted against its own largest eigenvalue
+        rng = np.random.default_rng(12)
+        for d in (1, 4):
+            mats = [random_psd(seed, d) for seed in range(4)]
+            a = rng.normal(size=(d + 2, d))
+            a[:, -1] = a[:, 0]
+            mats += [sample_covariance(a), np.zeros((d, d)), 1e6 * random_psd(9, d)]
+            stacked = pseudo_inverse(np.array(mats), rank_tol)
+            assert stacked.shape == (len(mats), d, d)
+            for m, m_dag in zip(mats, stacked):
+                assert np.array_equal(m_dag, pseudo_inverse(m, rank_tol))
+            nested = pseudo_inverse(np.array(mats[:6]).reshape(2, 3, d, d), rank_tol)
+            assert np.array_equal(nested.reshape(6, d, d), stacked[:6])
+
+    def test_non_finite_anywhere_in_a_stack_rejected(self):
+        stack = np.array([np.eye(2), np.diag([1.0, np.inf])])
+        with pytest.raises(DataError, match="non-finite"):
+            pseudo_inverse(stack)
+
+    def test_non_positive_rank_tol_rejected(self):
+        with pytest.raises(UsageError, match="rank_tol"):
+            pseudo_inverse(np.stack([np.eye(2)] * 3), -1.0)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(DataError, match="square"):
+            pseudo_inverse(np.ones((3, 2, 4)))

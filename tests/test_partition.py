@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from nsim.errors import DataError, UsageError
 from nsim.partition import dyadic_partition, equiblock_partition
 
+MAX = np.finfo(np.float64).max
+
 
 def groups_as_sets(partition):
     return [set(g.tolist()) for g in partition.groups]
@@ -81,6 +83,54 @@ class TestEquiblock:
             equiblock_partition([1.0, 2.0], 3)
 
 
+class TestNearFloatMax:
+    """Sums and spans of responses near float max overflow; both partitions
+    still give finite, ordered, contiguous intervals and follow their rules."""
+
+    @pytest.mark.parametrize(
+        "responses, j_count, groups",
+        [
+            ([1e308, 1.5e308, 1.7e308], 2, [{0, 1}, {2}]),
+            ([-1.7e308, -1.6e308, -1.5e308, -1e308], 2, [{0, 1}, {2, 3}]),
+            ([1.7e308, 1.6e308, 1.5e308, 1.0], 3, [{3, 2}, {1}, {0}]),
+        ],
+    )
+    def test_equiblock(self, responses, j_count, groups):
+        part = equiblock_partition(responses, j_count)
+        self._check_intervals(part, responses)
+        assert groups_as_sets(part) == groups
+
+    @pytest.mark.parametrize(
+        "responses, j_count, groups",
+        [
+            ([-1e308, 0.0, 1e308], 2, [{0}, {1, 2}]),
+            ([0.0, 1e308, 1.7e308], 3, [{0}, {1}, {2}]),
+            ([-MAX, 0.0, MAX], 7, [{0}, set(), set(), {1}, set(), set(), {2}]),
+        ],
+    )
+    def test_dyadic(self, responses, j_count, groups):
+        part = dyadic_partition(responses, j_count)
+        self._check_intervals(part, responses)
+        assert groups_as_sets(part) == groups
+        # equal widths, measured in halves so that the span cannot overflow
+        half_widths = [iv.upper / 2 - iv.lower / 2 for iv in part.intervals]
+        span = max(responses) / 2 - min(responses) / 2
+        assert np.allclose(half_widths, span / j_count, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _check_intervals(part, responses):
+        lower = [iv.lower for iv in part.intervals]
+        upper = [iv.upper for iv in part.intervals]
+        assert np.all(np.isfinite(lower + upper))
+        assert all(lo < up for lo, up in zip(lower, upper))
+        assert lower[1:] == upper[:-1]
+        assert (lower[0], upper[-1]) == (min(responses), max(responses))
+        member = part.sample_groups()
+        for i, y in enumerate(responses):
+            iv = part.intervals[member[i]]
+            assert iv.lower <= y and (y <= iv.upper if iv.closed_upper else y < iv.upper)
+
+
 class TestLocate:
     """Which group a response value lands in: the interval holding it under
     the right-open rule."""
@@ -145,6 +195,8 @@ class TestPartitionProperties:
     @given(responses_and_j(unique=True))
     @example((np.array([1.0, np.nextafter(1.0, 2.0)]), 2))  # midpoint rounds onto 1.0
     @example((np.array([0.0, 5e-324]), 2))  # midpoint rounds onto 0.0
+    @example((np.array([1e308, 1.5e308, 1.7e308]), 2))  # the sum overflows
+    @example((np.array([-1e308, 0.0, 1e308]), 2))  # the span overflows
     @settings(max_examples=100, deadline=None)
     def test_groups_match_interval_containment(self, case):
         # documented caveat: equiblock ties straddling a block boundary make
