@@ -109,24 +109,25 @@ def fit_split(
     Each prediction-half sample inherits the tangent of the geometry sample
     minimizing the proxy distance to it (lowest index on ties); with no
     geometry sample inside the restricting radius, the Euclidean-nearest
-    one is used instead.  As for ``fit``, J and k must be integers >= 1 and
-    eta positive or infinite.  The partition's groups index the geometry
-    half.
+    one is used instead.  The search is prediction's neighbour average with
+    k = 1 over the geometry half's level-set indices, whose one-sample
+    average is the index itself.  As for ``fit``, J and k must be integers
+    >= 1 and eta positive or infinite.  The partition's groups index the
+    geometry half.
     """
     if geometry_half.d != prediction_half.d:
         raise DataError(
             f"geometry half dim {geometry_half.d} != prediction half dim {prediction_half.d}"
         )
     geometry = fit(geometry_half, j_count, k, eta, partition_kind, rank_tol)
-    picks = _ranked_picks(
-        prediction_half.features, geometry_half.features, 1,
+    inherited = _neighbour_means(
+        prediction_half.features, geometry_half.features, geometry.tangent_assignment, [1],
         (geometry.tangents.vectors, geometry.tangent_assignment), geometry.eta,
-    )
-    nearest = np.concatenate([p[:1] if p.ndim == 1 else p[:, 0] for p in picks])
+    )[0]
     return replace(
         geometry,
         train=prediction_half,
-        tangent_assignment=geometry.tangent_assignment[nearest],
+        tangent_assignment=inherited.astype(np.intp),
         algorithm="split",
     )
 
@@ -172,26 +173,30 @@ def _smallest(row, k: int) -> np.ndarray:
     return pool[np.argsort(row[pool], kind="stable")][:take]
 
 
-def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
-    """Yield the indices of each query's k nearest training rows in
-    (distance, index) order, so ties go to the lower index.
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum surfaces as a DataError
+def _neighbour_means(queries, train_x, values, ks, proxy=None, eta: float = math.inf):
+    """(len(ks), n_queries) array whose row i averages ``values`` over each
+    query's ks[i] nearest training rows in (distance, index) order, so ties
+    go to the lower index.
 
     With ``proxy = (vectors, assignment)`` the distance to row i is the
     restricted proxy metric |a_i^T (x - X_i)| with a_i = vectors[assignment[i]],
     computed as |a_i^T x - a_i^T X_i| with the second dot product taken once.
     Without it the distance is Euclidean.  Fewer than k rows inside the
-    radius eta are all picked; with none, the Euclidean-nearest row alone is.
+    radius eta are all averaged; with none, the Euclidean-nearest row alone is.
 
-    With a finite eta each query gets its own 1-d array, since the number
-    of picks varies; every other search yields one (rows x min(k, N)) block
-    per query chunk.  In both forms the first k' picks are the picks for
-    any k' < k, so one ranking serves a whole k grid.
+    Each query is ranked once, with max(ks), and each k averages the first
+    k rows of that ranking, gathered on their own (a prefix sum would differ
+    in the last bits); a finite-eta row takes ``sum() / size``, which is
+    ``mean`` bit for bit.  A non-finite average raises ``DataError``.
 
     Per query, a finite eta costs the O(N D) Euclidean radius block plus
     O(J D); proxy distances and selection then run over the in-radius rows
     only.  With eta infinite, proxy distances and selection cover all N rows.
     """
     n = train_x.shape[0]
+    k_max = max(ks)
+    out = np.empty((len(ks), queries.shape[0]))
     clipped = proxy is not None and not math.isinf(eta)
     cand_sq = np.einsum("nd,nd->n", train_x, train_x) if proxy is None or clipped else None
     if proxy is not None:
@@ -206,54 +211,33 @@ def _ranked_picks(queries, train_x, k: int, proxy=None, eta: float = math.inf):
             for i, row_inside in enumerate(inside):
                 cand = np.flatnonzero(row_inside)  # ascending index order
                 if cand.size == 0:
-                    yield np.argmin(eucl2[i], keepdims=True)
-                    continue
-                dist = np.abs(proj[i][assignment[cand]] - offsets[cand])
-                yield cand[_smallest(dist, k)]
+                    picks = np.argmin(eucl2[i], keepdims=True)
+                else:
+                    dist = np.abs(proj[i][assignment[cand]] - offsets[cand])
+                    picks = cand[_smallest(dist, k_max)]
+                for ki, k in enumerate(ks):
+                    chosen = values[picks[:k]]
+                    out[ki, start + i] = chosen.sum() / chosen.size
             continue
         if proxy is None:
             dist = _euclidean_sq_block(block, train_x, cand_sq)
         else:
             dist = np.abs((block @ vectors.T)[:, assignment] - offsets[None, :])
-        if k == 1:
-            # argmin takes the first minimum, i.e. the lowest index on ties
-            picks = np.argmin(dist, axis=1)[:, None]
-        else:
-            picks = np.empty((stop - start, min(k, n)), dtype=np.intp)
-            for i, row in enumerate(dist):
-                picks[i] = _smallest(row, k)
-        del dist  # free the distance block while the caller holds the picks
-        yield picks
+        picks = np.empty((stop - start, min(k_max, n)), dtype=np.intp)
+        for i, row in enumerate(dist):
+            picks[i] = _smallest(row, k_max)
+        del dist  # free the distance block before the gathers
+        for ki, k in enumerate(ks):
+            out[ki, start:stop] = values[picks[:, :k]].mean(axis=1)
+    if not np.isfinite(out).all():
+        raise DataError("non-finite neighbour average: responses too large in magnitude")
+    return out
 
 
 def _is_grid(k) -> bool:
     """Whether ``k`` asks for a grid (a sequence or a 1-d array) rather
     than one count."""
     return isinstance(k, (list, tuple, range)) or (isinstance(k, np.ndarray) and k.ndim == 1)
-
-
-def _first_k_means(picks, responses, k: int):
-    """Per query, the mean response over its first k picks; a block of
-    picks is averaged in one call, which matches the per-row mean bit for
-    bit (a cumulative-sum prefix would not)."""
-    for p in picks:
-        if p.ndim == 1:
-            yield responses[p[:k]].mean()
-        else:
-            yield from responses[p[:, :k]].mean(axis=1)
-
-
-def _grid_means(picks, responses, ks, n_queries: int) -> np.ndarray:
-    """(len(ks), n_queries) array whose row i averages each query's first
-    ks[i] picks; a grid ranks once and is scored from the kept picks."""
-    if len(ks) > 1:
-        picks = list(picks)
-    out = np.empty((len(ks), n_queries))
-    for i, k in enumerate(ks):
-        out[i] = np.fromiter(
-            _first_k_means(picks, responses, k), dtype=np.float64, count=n_queries
-        )
-    return out
 
 
 def predict_many(model: FittedNsim, queries, k=None) -> np.ndarray:
@@ -265,15 +249,15 @@ def predict_many(model: FittedNsim, queries, k=None) -> np.ndarray:
     is ``None`` for ``model.k``, one integer >= 1, or a non-empty sequence of
     them (checked by ``count_grid``).  A sequence returns a
     (len(k), n_queries) array from one neighbour ranking with max(k); row i
-    equals the single-k call with k[i] bit for bit.
+    equals the single-k call with k[i] bit for bit.  Responses whose
+    neighbour average overflows raise ``DataError``.
     """
     xs = _as_queries(queries, model.train.d)
     ks = [model.k] if k is None else count_grid(k, "k")
-    picks = _ranked_picks(
-        xs, model.train.features, max(ks),
+    means = _neighbour_means(
+        xs, model.train.features, model.train.responses, ks,
         (model.tangents.vectors, model.tangent_assignment), model.eta,
     )
-    means = _grid_means(picks, model.train.responses, ks, len(xs))
     return means if _is_grid(k) else means[0]
 
 
@@ -421,7 +405,7 @@ def baseline_knn_many(data: Dataset, queries, k) -> np.ndarray:
     largest k, whose row i equals the single-k call with k[i] bit for bit."""
     ks = [min(value, data.n) for value in count_grid(k, "k")]
     xs = _as_queries(queries, data.d)
-    means = _grid_means(_ranked_picks(xs, data.features, max(ks)), data.responses, ks, len(xs))
+    means = _neighbour_means(xs, data.features, data.responses, ks)
     return means if _is_grid(k) else means[0]
 
 

@@ -112,8 +112,16 @@ class ExperimentResult:
     fingerprint: str
 
 
+def _noise_key(c: float) -> int:
+    """A noise factor's share of the cell seeds: c in units of 1e-12."""
+    scaled = c * 1e12
+    if not math.isfinite(scaled):
+        raise UsageError(f"noise factor {c!r} is too large to seed a cell")
+    return int(round(scaled))
+
+
 def _cell_seeds(seed: int, curve: str, d: int, c: float, n: int, rep: int) -> tuple[int, int, int]:
-    entropy = (int(seed), _CURVE_ID[curve], int(d), int(round(c * 1e12)), int(n), int(rep))
+    entropy = (int(seed), _CURVE_ID[curve], int(d), _noise_key(c), int(n), int(rep))
     state = np.random.SeedSequence(entropy).generate_state(3, dtype=np.uint64)
     return int(state[0]), int(state[1]), int(state[2])
 
@@ -158,7 +166,10 @@ def run_schedule(
     ``j_grid_noisy``.  Per-cell seeds derive deterministically from the
     master seed and the cell coordinates, so reruns and the kNN baseline
     see identical data in the ``SynthConfig`` default tube.  Infeasible cells
-    are recorded and skipped; bad parameters raise ``UsageError`` first.
+    are recorded and skipped; bad parameters raise ``UsageError`` before the
+    first cell: D and N values, the repetition, fold and test counts must be
+    integers (D above the curve's embedding dimension, folds >= 2), and each
+    noise factor a finite number >= 0 small enough to seed a cell.
     """
     if method not in SCHEDULE_METHODS:
         raise UsageError(f"unknown schedule method {method!r}; expected one of {SCHEDULE_METHODS}")
@@ -166,7 +177,15 @@ def run_schedule(
     seed = check_seed(seed)
     eta = check_eta(eta)
     j_grid_noisy = count_grid(j_grid_noisy, "J")
+    d_values = count_grid(d_values, "D")
+    n_grid = count_grid(n_grid, "N")
+    cv_folds = check_folds(cv_folds)
+    test_count = check_count(test_count, "test_count")
     curve = make_curve(curve_kind)
+    for d in d_values:
+        for c in noise_factors:
+            SynthConfig(curve, d, test_count, seed, noise_factor=c)  # checks D and c
+            _noise_key(c)
     results = []
 
     for d in d_values:

@@ -111,6 +111,13 @@ def link_function(t, interval_length: float):
     return float(g) if g.ndim == 0 else g
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """Raise ``UsageError`` unless ``value`` is a finite number >= 0."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value >= 0):
+        raise UsageError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator configuration; ambient_dim must exceed the curve's natural
@@ -129,10 +136,8 @@ class SynthConfig:
                 f"ambient_dim must exceed {self.curve.embed_dim} for {self.curve.kind!r}, "
                 f"got {self.ambient_dim}"
             )
-        if self.tube_radius < 0:
-            raise UsageError(f"tube_radius must be >= 0, got {self.tube_radius}")
-        if self.noise_factor < 0:
-            raise UsageError(f"noise_factor must be >= 0, got {self.noise_factor}")
+        _check_nonnegative(self.tube_radius, "tube_radius")
+        _check_nonnegative(self.noise_factor, "noise_factor")
         check_count(self.n_samples, "n_samples")
 
 
@@ -200,6 +205,8 @@ def generate(config: SynthConfig) -> tuple[Dataset, list[SynthSample]]:
     f_vals = link_function(ts - t0, curve.length)
     delta_f = (f_vals.max() - f_vals.min()) / curve.length
     sigma = config.noise_factor * delta_f
+    if sigma > np.finfo(np.float64).max / 2:  # the noise interval is 2 sigma wide
+        raise UsageError(f"noise_factor {config.noise_factor} overflows the noise range")
     y = f_vals + rng.uniform(-sigma, sigma, n)
 
     dataset = Dataset(x, y)

@@ -9,6 +9,7 @@ as computed: it correlates positively with the response inside its group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,9 @@ def fit_tangents(
     Every level set needs at least D+1 samples (a rank-D covariance plus the
     mean); a vanishing regression vector is reported as a degenerate
     direction rather than silently normalized, and a non-finite one (data
-    too large in magnitude) as a ``DataError``.
+    too large in magnitude) as a ``DataError``.  A response mean or a norm
+    of b_j whose sum overflows on finite terms is taken from scaled terms
+    instead, as the direction does not depend on the response scale.
 
     Each level set is centred once; its covariance and cross-covariance go
     into (J, D, D) and (J, D) stacks that one ``pseudo_inverse`` call solves.
@@ -70,6 +73,8 @@ def fit_tangents(
         y = data.responses[idx]
         means_x[j] = x.mean(axis=0)
         means_y[j] = y.mean()
+        if not math.isfinite(means_y[j]):  # the sum overflowed; the terms need not
+            means_y[j] = (y / len(idx)).sum()
         centered = x - means_x[j]
         cov = centered.T @ centered / len(idx)
         sigmas[j] = (cov + cov.T) / 2.0
@@ -83,6 +88,9 @@ def fit_tangents(
         norms = np.empty(stop)
         for j in range(stop):
             norms[j] = float(np.linalg.norm(b[j]))
+            if math.isinf(norms[j]) and np.isfinite(b[j]).all():  # rescale before the squares
+                b[j] /= np.abs(b[j]).max()
+                norms[j] = float(np.linalg.norm(b[j]))
             if not np.isfinite(norms[j]):
                 raise DataError(f"non-finite regression direction in level set {j}")
             if norms[j] < DEGENERATE_NORM:

@@ -55,6 +55,27 @@ def test_help_exits_cleanly(command):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--curve", "line", "--ambient-dim", 4, "--n", 50, "--noise-factor"],
+        ["synth", "--curve", "line", "--ambient-dim", 4, "--n", 50, "--tube-radius"],
+        ["benchmark", "--curve", "line", "--d-values", 4, "--n-grid", 64, "--noise-factors"],
+    ],
+    ids=["synth-noise-factor", "synth-tube-radius", "benchmark-noise-factors"],
+)
+def test_bad_numeric_flag_is_a_usage_error(tmp_path, command, value):
+    out = ["--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json"]
+    if command[0] == "benchmark":
+        out = ["--out-json", tmp_path / "b.json"]
+    proc = run_module(*command, value, "--seed", 1, *out)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+    assert proc.stderr.startswith("nsim: error [usage]")
+    assert "Traceback" not in proc.stderr
+
+
 class TestIngest:
     def test_two_column_file(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x,y\n1,2\n3,4\n")

@@ -142,6 +142,26 @@ class TestPredict:
             got = predict_many(model, queries.features)
             assert np.array_equal(got, expected)
 
+    def test_neighbour_average_that_overflows_is_a_data_error(self):
+        # 40 responses of about 5e306 sum past float max; the fit itself
+        # copes with them, and fewer neighbours still average finitely
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(400, 3))
+        data = Dataset(features, features[:, 0] * 1e306 + 5e306)
+        model = fit(data, 2, 1)
+        assert np.all(np.isfinite(predict_many(model, features[:5], [1, 20])))
+        with pytest.raises(DataError, match="non-finite neighbour average"):
+            predict_many(model, features[:5], 40)
+        with pytest.raises(DataError, match="non-finite neighbour average"):
+            baseline_knn_many(data, features[:5], 40)
+
+    def test_partial_sums_overflowing_both_ways_are_a_data_error(self):
+        # numpy sums 16 terms in 8 lanes: lane 0 reaches +inf, lane 1 -inf
+        huge = [1.7e308, -1.7e308] + [0.0] * 6
+        data = Dataset(np.arange(16.0)[:, None], huge + huge)
+        with pytest.raises(DataError, match="non-finite neighbour average"):
+            baseline_knn_many(data, [[-100.0]], 16)
+
     def test_fallback_uses_euclidean_nearest_when_radius_empty(self):
         data = Dataset([[0.0], [1.0], [5.0]], [1.0, 2.0, 9.0])
         model = fit(data, 1, 1, eta=0.5)
@@ -170,21 +190,15 @@ def _int_rows(draw, count, d, lo, hi):
     return np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=np.float64)
 
 
-@st.composite
-def tied_problems(draw):
-    """Integer grid points with duplicated rows, a model whose signed
-    tangents are axis-aligned, and half-integer queries, so every distance
-    on both sides is exact and ties are frequent."""
-    d = draw(st.integers(1, 3))
-    unique = _int_rows(draw, draw(st.integers(1, 8)), d, -2, 2)
-    copies = draw(st.lists(st.integers(0, len(unique) - 1), max_size=6))
-    features = np.vstack([unique, unique[copies]])
-    n = len(features)
+def _axis_model(draw, features, responses, k, eta):
+    """A model on ``features`` whose signed tangents are axis-aligned, with
+    a drawn tangent assignment, so proxy distances between grid points are
+    exact."""
+    n, d = features.shape
     j_count = draw(st.integers(1, 3))
     vectors = np.zeros((j_count, d))
     for j in range(j_count):
         vectors[j, draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
-    eta = draw(st.sampled_from([1.5, 2.5, math.inf]))
     doc = {
         "version": 1,
         "partition_kind": "dyadic",
@@ -197,16 +211,32 @@ def tied_problems(draw):
             st.lists(st.integers(0, j_count - 1), min_size=n, max_size=n)
         ),
         "train_features": features.tolist(),
-        "train_responses": draw(
-            st.lists(st.floats(-100, 100, allow_nan=False), min_size=n, max_size=n)
-        ),
-        "k": draw(st.integers(1, n + 2)),
+        "train_responses": list(responses),
+        "k": k,
         "eta": "inf" if math.isinf(eta) else eta,
     }
+    return model_from_dict(doc)
+
+
+@st.composite
+def tied_problems(draw):
+    """Integer grid points with duplicated rows, a model whose signed
+    tangents are axis-aligned, and half-integer queries, so every distance
+    on both sides is exact and ties are frequent."""
+    d = draw(st.integers(1, 3))
+    unique = _int_rows(draw, draw(st.integers(1, 8)), d, -2, 2)
+    copies = draw(st.lists(st.integers(0, len(unique) - 1), max_size=6))
+    features = np.vstack([unique, unique[copies]])
+    n = len(features)
+    responses = draw(st.lists(st.floats(-100, 100, allow_nan=False), min_size=n, max_size=n))
+    model = _axis_model(
+        draw, features, responses, draw(st.integers(1, n + 2)),
+        draw(st.sampled_from([1.5, 2.5, math.inf])),
+    )
     queries = _int_rows(draw, draw(st.integers(1, 8)), d, -8, 8) / 2.0
     # small scratch budgets split the queries over several chunks
     budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
-    return model_from_dict(doc), queries, budget
+    return model, queries, budget
 
 
 def brute_force_predictions(model, queries):
@@ -232,6 +262,43 @@ def brute_force_knn(data, queries, k):
     return np.array(out)
 
 
+@st.composite
+def averaging_problems(draw):
+    """Integer grid points (9 to 30 rows, duplicates included) with float
+    responses of mixed magnitude, a radius from {0.25, 0.5, inf} and a k
+    grid reaching 9 and past N: numpy sums eight or more terms pairwise,
+    so the last bits of an average depend on how its terms are gathered."""
+    d = draw(st.integers(1, 3))
+    unique = _int_rows(draw, draw(st.integers(3, 12)), d, -2, 2)
+    copies = draw(st.lists(st.integers(0, len(unique) - 1), min_size=6, max_size=18))
+    features = np.vstack([unique, unique[copies]])
+    n = len(features)
+    magnitudes = st.sampled_from([1e-3, 1.0, 1e8])
+    responses = [
+        draw(st.floats(-1.0, 1.0, allow_nan=False)) * draw(magnitudes) for _ in range(n)
+    ]
+    eta = draw(st.sampled_from([0.25, 0.5, math.inf]))
+    model = _axis_model(draw, features, responses, 1, eta)
+    queries = _int_rows(draw, draw(st.integers(1, 8)), d, -8, 8) / 2.0
+    grid = draw(st.lists(st.integers(1, n + 3), max_size=3))
+    grid += [draw(st.integers(9, n)), n + draw(st.integers(1, 3))]
+    grid = draw(st.permutations(grid))
+    budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
+    return model, queries, budget, grid
+
+
+@given(averaging_problems())
+@settings(max_examples=200, deadline=None)
+def test_k_grid_averages_equal_per_query_means_bit_for_bit(problem):
+    model, queries, budget, grid = problem
+    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+        got = predict_many(model, queries, grid)
+        got_knn = baseline_knn_many(model.train, queries, grid)
+    for row, row_knn, k in zip(got, got_knn, grid):
+        assert np.array_equal(row, brute_force_predictions(replace(model, k=k), queries))
+        assert np.array_equal(row_knn, brute_force_knn(model.train, queries, k))
+
+
 @given(tied_problems())
 @settings(max_examples=200, deadline=None)
 def test_neighbour_search_matches_brute_force_with_ties(problem):
@@ -255,11 +322,13 @@ def grid_problems(draw):
 
 
 def ranked_once(call, *args):
-    """``call(*args)`` and the k of its one ``_ranked_picks`` call."""
-    with mock.patch.object(estimator, "_ranked_picks", wraps=estimator._ranked_picks) as ranked:
+    """``call(*args)`` and the largest k of its one ``_neighbour_means`` call."""
+    with mock.patch.object(
+        estimator, "_neighbour_means", wraps=estimator._neighbour_means
+    ) as ranked:
         out = call(*args)
     assert ranked.call_count == 1
-    return out, ranked.call_args.args[2]
+    return out, max(ranked.call_args.args[3])
 
 
 @given(grid_problems())

@@ -155,6 +155,27 @@ class TestRunSchedule:
         with pytest.raises(UsageError):
             run_schedule("line", **{**SMALL_GRID, "seed": -1})
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"d_values": [4.7]}, {"d_values": [4, 3]}, {"n_grid": [64.9, 128]},
+            {"n_grid": [64, True]}, {"cv_folds": 1}, {"cv_folds": 2.5}, {"test_count": 2.5},
+            {"noise_factors": [0.0, math.inf]}, {"noise_factors": [math.nan]},
+            {"noise_factors": [-1.0]}, {"noise_factors": [1e300]},
+        ],
+        ids=[
+            "D=4.7", "D=3", "N=64.9", "N=True", "folds=1", "folds=2.5", "test_count=2.5",
+            "c=inf", "c=nan", "c=-1", "c=1e300",
+        ],
+    )
+    def test_bad_parameters_fail_before_the_first_cell(self, monkeypatch, options):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a cell before the parameters were validated")
+
+        monkeypatch.setattr(evaluation, "_generate", no_work)
+        with pytest.raises(UsageError):
+            run_schedule("line", **{**SMALL_GRID, **options})
+
     def test_aggregation_commutes_with_repetition_order(self):
         result = run_schedule("line", **SMALL_GRID)[0]
         for pos, n in enumerate(result.n_values):

@@ -209,3 +209,14 @@ class TestGenerate:
     def test_ambient_dim_must_exceed_curve_dim(self):
         with pytest.raises(UsageError, match="ambient_dim"):
             config_for("helix", ambient_dim=3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, "0.1"])
+    @pytest.mark.parametrize("field", ["tube_radius", "noise_factor"])
+    def test_radius_and_noise_factor_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            config_for("line", **{field: value})
+
+    def test_noise_range_that_overflows_is_a_usage_error(self):
+        # 2 * sigma exceeds float max although the factor itself is finite
+        with pytest.raises(UsageError, match="noise range"):
+            generate(config_for("line", noise_factor=1.7e308))
