@@ -35,10 +35,10 @@ from .evaluation import (
     run_schedule,
     schedule_csv_rows,
     schedule_summary,
+    split_csv_rows,
 )
 from .geometry import CURVE_KINDS, SynthConfig, generate, make_curve
 from .io import (
-    format_float,
     read_dataset_csv,
     read_feature_csv,
     write_dataset_csv,
@@ -202,18 +202,7 @@ def cmd_benchmark(args) -> int:
             ),
         )
         if args.out_csv:
-            rows = [["method", "rep", "rmse", "k", "J"]]
-            for split in report["splits"]:
-                rows.append(
-                    [
-                        split["method"],
-                        str(split["rep"]),
-                        format_float(split["rmse"]),
-                        "" if split["k"] is None else str(split["k"]),
-                        "" if split["J"] is None else str(split["J"]),
-                    ]
-                )
-            write_rows_csv(args.out_csv, rows)
+            write_rows_csv(args.out_csv, split_csv_rows(report))
         write_json(args.out_json, report)
         return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,12 +54,17 @@ class FittedNsim:
         return self.tangents.vectors[self.tangent_assignment]
 
 
+def check_partition_kind(kind) -> str:
+    """``kind`` if it is one of ``PARTITION_KINDS``; otherwise ``UsageError``."""
+    if kind not in PARTITION_KINDS:
+        raise UsageError(f"unknown partition kind {kind!r}; expected one of {PARTITION_KINDS}")
+    return kind
+
+
 def _build_partition(kind: str, responses, j_count: int) -> ResponsePartition:
-    if kind == "dyadic":
+    if check_partition_kind(kind) == "dyadic":
         return dyadic_partition(responses, j_count)
-    if kind == "equiblock":
-        return equiblock_partition(responses, j_count)
-    raise UsageError(f"unknown partition kind {kind!r}; expected one of {PARTITION_KINDS}")
+    return equiblock_partition(responses, j_count)
 
 
 def fit(
@@ -380,21 +385,7 @@ def cross_validate(
 
 
 def cv_report_to_dict(report: CvReport) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "grid": [[int(j), int(k)] for j, k in report.grid],
-        "fold_scores": [None if s is None else float(s) for s in report.fold_scores],
-        "selected": [int(report.selected[0]), int(report.selected[1])],
-        "skipped": [
-            {"J": int(s["J"]), "k": int(s["k"]), "fold": int(s["fold"]), "reason": s["reason"]}
-            for s in report.skipped
-        ],
-        "folds": int(report.folds),
-        "seed": int(report.seed),
-        "k_rule": report.k_rule,
-        "eta": eta_to_json(report.eta),
-        "partition_kind": report.partition_kind,
-    }
+    return {**asdict(report), "version": MODEL_FORMAT_VERSION, "eta": eta_to_json(report.eta)}
 
 
 def baseline_knn_many(data: Dataset, queries, k) -> np.ndarray:

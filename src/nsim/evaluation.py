@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import DataError, InfeasibleFitError, UsageError
 from .estimator import (
     baseline_knn_many,
     baseline_linreg,
+    check_partition_kind,
     count_grid,
     cross_validate,
     eta_to_json,
@@ -39,6 +40,7 @@ from .geometry import (
     make_curve,
     true_link_values,
 )
+from .io import format_float
 
 SCHEDULE_METHODS = ("nsim", "knn")
 _CURVE_ID = {kind: i for i, kind in enumerate(CURVE_KINDS)}
@@ -80,7 +82,8 @@ def decay_slope(n_values, errors) -> float:
 
 @dataclass(frozen=True)
 class ScheduleCell:
-    """Outcome of one (curve, D, c, N, repetition) run."""
+    """Outcome of one (curve, D, c, N, repetition) run; the fields, in
+    order, are the columns of ``schedule_csv_rows``."""
 
     curve: str
     ambient_dim: int
@@ -168,8 +171,9 @@ def run_schedule(
     see identical data in the ``SynthConfig`` default tube.  Infeasible cells
     are recorded and skipped; bad parameters raise ``UsageError`` before the
     first cell: D and N values, the repetition, fold and test counts must be
-    integers (D above the curve's embedding dimension, folds >= 2), and each
-    noise factor a finite number >= 0 small enough to seed a cell.
+    integers (D above the curve's embedding dimension, folds >= 2), the
+    partition kind one of ``PARTITION_KINDS``, and the noise factors a
+    non-empty list of finite numbers >= 0 small enough to seed a cell.
     """
     if method not in SCHEDULE_METHODS:
         raise UsageError(f"unknown schedule method {method!r}; expected one of {SCHEDULE_METHODS}")
@@ -181,78 +185,69 @@ def run_schedule(
     n_grid = count_grid(n_grid, "N")
     cv_folds = check_folds(cv_folds)
     test_count = check_count(test_count, "test_count")
+    partition_kind = check_partition_kind(partition_kind)
+    noise_factors = list(noise_factors)
+    if not noise_factors:
+        raise UsageError("empty noise factor grid")
     curve = make_curve(curve_kind)
+    configs = []  # one test-set generator config per (D, c)
     for d in d_values:
         for c in noise_factors:
-            SynthConfig(curve, d, test_count, seed, noise_factor=c)  # checks D and c
+            config = SynthConfig(curve, d, test_count, seed, noise_factor=c)  # checks D and c
             _noise_key(c)
+            configs.append((d, c, replace(config, noise_factor=float(c))))
     results = []
 
-    for d in d_values:
-        for c in noise_factors:
-            cells: list[ScheduleCell] = []
-            skipped: list[dict] = []
-            for n in n_grid:
-                for rep in range(repetitions):
-                    train_seed, test_seed, cv_seed = _cell_seeds(seed, curve_kind, d, c, n, rep)
-                    train_ds, train_samples = _generate(curve, d, n, train_seed, c)
-                    test_ds, test_samples = _generate(curve, d, test_count, test_seed, c)
-                    test_truth = true_link_values(
-                        curve, np.array([s.t_true for s in test_samples])
+    for d, c, config in configs:
+        cells: list[ScheduleCell] = []
+        skipped: list[dict] = []
+        for n in n_grid:
+            for rep in range(repetitions):
+                train_seed, test_seed, cv_seed = _cell_seeds(seed, curve_kind, d, c, n, rep)
+                train_ds, train_samples = generate(replace(config, n_samples=n, seed=train_seed))
+                test_ds, test_samples = generate(replace(config, seed=test_seed))
+                test_truth = true_link_values(curve, np.array([s.t_true for s in test_samples]))
+                k_used = 1 if c == 0.0 else two_thirds_k(n)
+                if method == "nsim":
+                    try:
+                        if c == 0.0:
+                            j_used = noise_free_j(n, d)
+                        else:
+                            report = cross_validate(
+                                train_ds, j_grid_noisy, k_used, eta, cv_folds,
+                                cv_seed, partition_kind,
+                            )
+                            j_used = report.selected[0]
+                        model = fit(train_ds, j_used, k_used, eta, partition_kind)
+                    except (InfeasibleFitError, DataError) as exc:
+                        skipped.append({"n": int(n), "rep": rep, "reason": str(exc)})
+                        continue
+                    preds = predict_many(model, test_ds.features)
+                    t_true = np.array([s.t_true for s in train_samples])
+                    true_tangents = _true_midpoint_tangents(curve, model, t_true, d)
+                    rmse_a = rmse_tangent(model.tangents.vectors, true_tangents)
+                else:
+                    j_used = 0  # the Euclidean baseline has no level sets
+                    preds = baseline_knn_many(train_ds, test_ds.features, k_used)
+                    rmse_a = math.nan
+                cells.append(
+                    ScheduleCell(
+                        curve=curve_kind,
+                        ambient_dim=int(d),
+                        noise_factor=float(c),
+                        n=int(n),
+                        rep=rep,
+                        rmse_f=rmse_function(preds, test_truth),
+                        rmse_a=rmse_a,
+                        j_used=int(j_used),
+                        k_used=int(k_used),
                     )
-                    k_used = 1 if c == 0.0 else two_thirds_k(n)
-                    if method == "nsim":
-                        try:
-                            if c == 0.0:
-                                j_used = noise_free_j(n, d)
-                            else:
-                                report = cross_validate(
-                                    train_ds, j_grid_noisy, k_used, eta, cv_folds,
-                                    cv_seed, partition_kind,
-                                )
-                                j_used = report.selected[0]
-                            model = fit(train_ds, j_used, k_used, eta, partition_kind)
-                        except (InfeasibleFitError, DataError) as exc:
-                            skipped.append({"n": int(n), "rep": rep, "reason": str(exc)})
-                            continue
-                        preds = predict_many(model, test_ds.features)
-                        t_true = np.array([s.t_true for s in train_samples])
-                        true_tangents = _true_midpoint_tangents(curve, model, t_true, d)
-                        rmse_a = rmse_tangent(model.tangents.vectors, true_tangents)
-                    else:
-                        j_used = 0  # the Euclidean baseline has no level sets
-                        preds = baseline_knn_many(train_ds, test_ds.features, k_used)
-                        rmse_a = math.nan
-                    cells.append(
-                        ScheduleCell(
-                            curve=curve_kind,
-                            ambient_dim=int(d),
-                            noise_factor=float(c),
-                            n=int(n),
-                            rep=rep,
-                            rmse_f=rmse_function(preds, test_truth),
-                            rmse_a=rmse_a,
-                            j_used=int(j_used),
-                            k_used=int(k_used),
-                        )
-                    )
+                )
 
-            results.append(
-                _aggregate(curve_kind, d, c, method, n_grid, repetitions, cells, skipped, seed)
-            )
-    return results
-
-
-def _generate(curve, d, n, seed, c):
-    return generate(
-        SynthConfig(
-            curve=curve,
-            ambient_dim=int(d),
-            n_samples=int(n),
-            seed=int(seed),
-            noise_factor=float(c),
+        results.append(
+            _aggregate(curve_kind, d, c, method, n_grid, repetitions, cells, skipped, seed)
         )
-    )
+    return results
 
 
 def _aggregate(curve_kind, d, c, method, n_grid, repetitions, cells, skipped, seed):
@@ -293,47 +288,43 @@ def _aggregate(curve_kind, d, c, method, n_grid, repetitions, cells, skipped, se
     )
 
 
+def _csv_cell(value) -> str:
+    """One report value as a CSV cell: None is empty, a float has 17
+    significant digits, anything else is its ``str``."""
+    if value is None:
+        return ""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def schedule_csv_rows(results) -> list[list[str]]:
     """Per-repetition rows: curve, D, c, N, rep, rmse_f, rmse_a, J_used, k_used."""
-    from .io import format_float
-
     rows = [["curve", "D", "c", "N", "rep", "rmse_f", "rmse_a", "J_used", "k_used"]]
     for result in results:
-        for cell in result.cells:
-            rows.append(
-                [
-                    cell.curve,
-                    str(cell.ambient_dim),
-                    format_float(cell.noise_factor),
-                    str(cell.n),
-                    str(cell.rep),
-                    format_float(cell.rmse_f),
-                    format_float(cell.rmse_a),
-                    str(cell.j_used),
-                    str(cell.k_used),
-                ]
-            )
+        rows.extend([_csv_cell(v) for v in astuple(cell)] for cell in result.cells)
     return rows
 
 
+def split_csv_rows(report: dict) -> list[list[str]]:
+    """Per-split rows of a ``real_benchmark`` report: method, rep, rmse, k, J."""
+    columns = ["method", "rep", "rmse", "k", "J"]
+    return [columns] + [[_csv_cell(split[c]) for c in columns] for split in report["splits"]]
+
+
+def _json_ready(value):
+    """A report field as JSON: tuples as lists, NaN as null."""
+    if isinstance(value, tuple):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def schedule_summary(results) -> dict:
-    """JSON-ready summary with per-result means/stds and log-log slopes."""
+    """JSON-ready summary: each result's fields but its cells, NaN as null,
+    plus the log-log slopes of its mean errors."""
     out = {"version": 1, "results": []}
     for r in results:
-        entry = {
-            "curve": r.curve,
-            "ambient_dim": r.ambient_dim,
-            "noise_factor": r.noise_factor,
-            "method": r.method,
-            "n_values": list(r.n_values),
-            "repetitions": r.repetitions,
-            "rmse_f_mean": list(r.rmse_f_mean),
-            "rmse_f_std": list(r.rmse_f_std),
-            "rmse_a_mean": list(r.rmse_a_mean),
-            "rmse_a_std": list(r.rmse_a_std),
-            "skipped": list(r.skipped),
-            "fingerprint": r.fingerprint,
-        }
+        entry = {f.name: _json_ready(getattr(r, f.name)) for f in fields(r) if f.name != "cells"}
         entry["slope_rmse_f"] = _safe_slope(r.n_values, r.rmse_f_mean)
         entry["slope_rmse_a"] = _safe_slope(r.n_values, r.rmse_a_mean)
         out["results"].append(entry)
@@ -366,10 +357,10 @@ def real_benchmark(
     mean and std of the relative test RMSE plus mean selected k and J.
 
     A split on which a method raises ``InfeasibleFitError`` or ``DataError``
-    is kept as a row with its ``reason`` and left out of that method's
-    ``splits_used`` and means; the other methods still report.  The J and k
-    grids and eta are checked before any work, by the rules of
-    ``cross_validate``."""
+    is kept as a row with its ``reason`` and an rmse of None, and left out
+    of that method's ``splits_used`` and means; the other methods still
+    report.  The J and k grids and eta are checked before any work, by the
+    rules of ``cross_validate``."""
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
     repetitions = check_count(repetitions, "repetitions")
@@ -385,7 +376,6 @@ def real_benchmark(
             f"not enough training samples ({data.n - n_test}) for {folds}-fold CV"
         )
 
-    records: dict[str, list[dict]] = {m: [] for m in BENCHMARK_METHODS}
     split_rows: list[dict] = []
     for rep in range(repetitions):
         state = np.random.SeedSequence((int(seed), rep)).generate_state(2, dtype=np.uint64)
@@ -396,7 +386,7 @@ def real_benchmark(
         train, test = data.subset(train_idx), data.subset(test_idx)
 
         for method in BENCHMARK_METHODS:
-            row = {"method": method, "rep": rep, "rmse": math.nan, "k": None, "J": None}
+            row = {"method": method, "rep": rep, "rmse": None, "k": None, "J": None}
             try:
                 if method.startswith("nsim-"):
                     kind = method.split("-", 1)[1]
@@ -416,14 +406,11 @@ def real_benchmark(
                     row.update(rmse=rmse_function(preds, test.responses))
             except (InfeasibleFitError, DataError) as exc:
                 row["reason"] = str(exc)
-                split_rows.append(row)
-                continue
             split_rows.append(row)
-            records[method].append(row)
 
     summary = {}
     for method in BENCHMARK_METHODS:
-        rows = records[method]
+        rows = [r for r in split_rows if r["method"] == method and "reason" not in r]
         rmses = [r["rmse"] for r in rows]
         entry = {
             "splits_used": len(rows),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_count
+from .data import _MAX_ROW_SQ_NORM, Dataset, check_count
 from .errors import DataError, UsageError
 
 CURVE_KINDS = ("line", "s_curve", "helix")
@@ -137,6 +137,13 @@ class SynthConfig:
                 f"got {self.ambient_dim}"
             )
         _check_nonnegative(self.tube_radius, "tube_radius")
+        # Curve points have norm below 5, so rows stay within the norm bound
+        # of ``Dataset`` while (radius + 5)^2 does.
+        if not self.tube_radius + 5.0 < math.sqrt(_MAX_ROW_SQ_NORM):
+            raise UsageError(
+                f"tube_radius {self.tube_radius!r} would put feature rows past the squared "
+                f"norm bound {_MAX_ROW_SQ_NORM:.3g}"
+            )
         _check_nonnegative(self.noise_factor, "noise_factor")
         check_count(self.n_samples, "n_samples")
 

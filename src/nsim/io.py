@@ -134,9 +134,11 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Indented, key-sorted JSON and a newline, encoded whole, not streamed."""
+    """Indented, key-sorted JSON and a newline, encoded whole, not streamed;
+    a NaN or infinite number raises ``ValueError``, as it is not JSON."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -69,7 +69,19 @@ def test_bad_numeric_flag_is_a_usage_error(tmp_path, command, value):
     out = ["--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json"]
     if command[0] == "benchmark":
         out = ["--out-json", tmp_path / "b.json"]
-    proc = run_module(*command, value, "--seed", 1, *out)
+    assert_one_usage_error(run_module(*command, value, "--seed", 1, *out))
+
+
+def test_tube_radius_past_the_row_norm_bound_is_a_usage_error(tmp_path):
+    assert_one_usage_error(
+        run_module(
+            "synth", "--curve", "line", "--ambient-dim", 4, "--n", 50, "--tube-radius", "1e300",
+            "--seed", 1, "--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json",
+        )
+    )
+
+
+def assert_one_usage_error(proc):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
     assert proc.stderr.startswith("nsim: error [usage]")
@@ -394,6 +406,34 @@ class TestCvCommand:
         assert code == 1
         assert "nsim: error [usage]" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+def strict_json(path):
+    """``path`` parsed as JSON proper: a bare NaN or Infinity raises."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_reports_write_null_for_missing_numbers(tmp_path, monkeypatch, synth_files):
+    data, _ = synth_files
+    cv, curve, split = tmp_path / "cv.json", tmp_path / "curve.json", tmp_path / "split.json"
+    for args in (
+        ["cv", "--data", data, "--j-grid", "1,64", "--k", 2, "--folds", 3, "--seed", 4,
+         "--out", cv],
+        ["benchmark", "--curve", "line", "--d-values", 4, "--noise-factors", 0,
+         "--n-grid", "64,128,256", "--repetitions", 1, "--test-count", 50, "--method", "knn",
+         "--seed", 1, "--out-json", curve],
+        ["benchmark", "--data", data, "--repetitions", 1, "--folds", 3, "--j-grid", 64,
+         "--k-grid", "1,4", "--seed", 6, "--out-json", split],
+    ):
+        assert run_cli(*args, monkeypatch=monkeypatch) == 0
+    assert None in strict_json(cv)["fold_scores"]  # J = 64 is infeasible on every fold
+    assert strict_json(curve)["results"][0]["rmse_a_mean"] == [None] * 3
+    failed = [row for row in strict_json(split)["splits"] if "reason" in row]
+    assert failed and all(row["rmse"] is None for row in failed)
 
 
 class TestGramCommand:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nsim.evaluation import (
     run_schedule,
     schedule_csv_rows,
     schedule_summary,
+    split_csv_rows,
 )
 from nsim.geometry import SynthConfig, generate, make_curve
 
@@ -128,6 +130,7 @@ class TestRunSchedule:
         assert any(entry["n"] == 4 for entry in results[0].skipped)
         assert math.isnan(results[0].rmse_f_mean[0])
         assert not math.isnan(results[0].rmse_f_mean[1])
+        assert schedule_summary(results)["results"][0]["rmse_f_mean"][0] is None
 
     def test_csv_rows_shape(self):
         rows = schedule_csv_rows(run_schedule("line", **SMALL_GRID))
@@ -161,18 +164,20 @@ class TestRunSchedule:
             {"d_values": [4.7]}, {"d_values": [4, 3]}, {"n_grid": [64.9, 128]},
             {"n_grid": [64, True]}, {"cv_folds": 1}, {"cv_folds": 2.5}, {"test_count": 2.5},
             {"noise_factors": [0.0, math.inf]}, {"noise_factors": [math.nan]},
-            {"noise_factors": [-1.0]}, {"noise_factors": [1e300]},
+            {"noise_factors": [-1.0]}, {"noise_factors": [1e300]}, {"noise_factors": []},
+            {"partition_kind": "bogus"}, {"partition_kind": "bogus", "method": "knn"},
         ],
         ids=[
             "D=4.7", "D=3", "N=64.9", "N=True", "folds=1", "folds=2.5", "test_count=2.5",
-            "c=inf", "c=nan", "c=-1", "c=1e300",
+            "c=inf", "c=nan", "c=-1", "c=1e300", "c=[]", "partition=bogus",
+            "partition=bogus-knn",
         ],
     )
     def test_bad_parameters_fail_before_the_first_cell(self, monkeypatch, options):
         def no_work(*args, **kwargs):
             raise AssertionError("ran a cell before the parameters were validated")
 
-        monkeypatch.setattr(evaluation, "_generate", no_work)
+        monkeypatch.setattr(evaluation, "generate", no_work)
         with pytest.raises(UsageError):
             run_schedule("line", **{**SMALL_GRID, **options})
 
@@ -189,6 +194,16 @@ def small_real_dataset(n=120, seed=9):
         SynthConfig(make_curve("line"), 4, n, seed, tube_radius=0.25, noise_factor=0.1)
     )
     return dataset
+
+
+@pytest.fixture
+def linreg_fails(monkeypatch):
+    """``real_benchmark``'s linear regression raises ``DataError`` on every split."""
+
+    def singular_design(data):
+        raise DataError("singular design")
+
+    monkeypatch.setattr(evaluation, "baseline_linreg", singular_design)
 
 
 class TestRealBenchmark:
@@ -222,11 +237,7 @@ class TestRealBenchmark:
                 assert split["J"] in (1, 2)
                 assert split["k"] in (1, 8)
 
-    def test_data_error_in_one_method_is_recorded_not_fatal(self, monkeypatch):
-        def singular_design(data):
-            raise DataError("singular design")
-
-        monkeypatch.setattr(evaluation, "baseline_linreg", singular_design)
+    def test_data_error_in_one_method_is_recorded_not_fatal(self, linreg_fails):
         report = real_benchmark(
             small_real_dataset(), 3, repetitions=2, folds=3, j_grid=(1, 2), k_grid=(1, 4)
         )
@@ -235,6 +246,7 @@ class TestRealBenchmark:
         }
         linreg_rows = [r for r in report["splits"] if r["method"] == "linreg"]
         assert [r["reason"] for r in linreg_rows] == ["singular design"] * 2
+        assert [r["rmse"] for r in linreg_rows] == [None, None]
         for method in ("nsim-dyadic", "nsim-equiblock", "knn"):
             assert report["methods"][method]["splits_used"] == 2
 
@@ -274,3 +286,37 @@ class TestRealBenchmark:
         data = small_real_dataset()
         with pytest.raises(UsageError):
             real_benchmark(data, 1, test_fraction=1.5)
+
+
+def assert_parses_back(row, values):
+    """Each CSV cell reads back as its report value bit for bit; "" is None."""
+    assert len(row) == len(values)
+    for text, value in zip(row, values):
+        if value is None:
+            assert text == ""
+        elif isinstance(value, float):
+            assert float(text).hex() == value.hex()
+        else:
+            assert type(value)(text) == value
+
+
+class TestCsvRows:
+    def test_schedule_cells_parse_back_to_the_report(self):
+        noisy = dict(SMALL_GRID, noise_factors=[0.0, 0.1], j_grid_noisy=(1, 2), cv_folds=3)
+        results = run_schedule("line", **noisy) + run_schedule("line", **SMALL_GRID, method="knn")
+        _, *rows = schedule_csv_rows(results)
+        cells = [cell for result in results for cell in result.cells]
+        assert len(rows) == len(cells) == 12
+        for row, cell in zip(rows, cells):
+            assert_parses_back(row, astuple(cell))
+
+    def test_split_cells_parse_back_to_the_report(self, linreg_fails):
+        report = real_benchmark(
+            small_real_dataset(), 3, repetitions=2, folds=3, j_grid=(1, 2), k_grid=(1, 4)
+        )
+        header, *rows = split_csv_rows(report)
+        assert header == ["method", "rep", "rmse", "k", "J"]
+        assert len(rows) == len(report["splits"]) == 8
+        assert sum("reason" in split for split in report["splits"]) == 2
+        for row, split in zip(rows, report["splits"]):
+            assert_parses_back(row, [split[column] for column in header])
