@@ -28,6 +28,7 @@ from .partition import (
 from .tangents import TangentField, fit_tangents
 
 PARTITION_KINDS = ("dyadic", "equiblock")
+ALGORITHMS = ("unsplit", "split")
 MODEL_FORMAT_VERSION = 1
 
 
@@ -339,6 +340,7 @@ def cross_validate(
     if folds > data.n:
         raise UsageError(f"folds ({folds}) exceed sample count ({data.n})")
     eta = check_eta(eta)
+    check_partition_kind(partition_kind)
     two_thirds = isinstance(k_rule, str) and k_rule == "two-thirds"
     grid_ks = [two_thirds_k(data.n)] if two_thirds else count_grid(k_rule, "k")
 
@@ -475,7 +477,8 @@ def model_from_dict(doc: dict) -> FittedNsim:
     that is not J x D or has a row off unit norm by more than 1e-9, level
     means or counts not sized for J level sets, an assignment that does not
     give every training row a level set in [0, J), a fraction where k, the
-    counts or the assignment need whole numbers, k < 1, or eta <= 0.
+    counts or the assignment need whole numbers, k < 1, eta <= 0, or a
+    ``partition_kind`` or ``algorithm`` that is not one of the known names.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
@@ -511,6 +514,12 @@ def model_from_dict(doc: dict) -> FittedNsim:
         raise DataError(f"model k must be >= 1, got {k}")
     if not eta > 0:
         raise DataError(f"model eta must be positive, got {eta}")
+    partition_kind = doc["partition_kind"]
+    algorithm = doc.get("algorithm", "unsplit")
+    if partition_kind not in PARTITION_KINDS:
+        raise DataError(f"model partition_kind {partition_kind!r} is not one of {PARTITION_KINDS}")
+    if algorithm not in ALGORITHMS:
+        raise DataError(f"model algorithm {algorithm!r} is not one of {ALGORITHMS}")
     for j, iv in enumerate(intervals):
         if not iv.lower <= iv.upper:
             raise DataError(f"interval {j} is reversed: [{iv.lower}, {iv.upper}]")
@@ -550,9 +559,9 @@ def model_from_dict(doc: dict) -> FittedNsim:
         train=train,
         k=k,
         eta=eta,
-        partition_kind=str(doc["partition_kind"]),
+        partition_kind=partition_kind,
         tangent_assignment=assignment,
-        algorithm=str(doc.get("algorithm", "unsplit")),
+        algorithm=algorithm,
     )
 
 

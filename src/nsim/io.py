@@ -8,8 +8,11 @@ digits so doubles round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import warnings
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -21,7 +24,9 @@ def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+def _read_rows_csv(path) -> tuple[list[str], np.ndarray]:
+    """The reference reader: one ``float`` per cell, and the error that
+    names the file, line and column of the first bad cell."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError as exc:
@@ -60,6 +65,37 @@ def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)
+
+
+# numpy strips these ASCII separators around a number as whitespace; float() does not
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header by ``csv.reader``, body by ``np.loadtxt``.  Its array is kept
+    only when it parsed to a finite grid of at least one row with one column
+    per header name.  Any other file (missing, header-only, with a quoted
+    cell, ``1_0``, a byte 0x1c-0x1f, a whitespace-only, ragged or non-finite
+    row) is read again by ``_read_rows_csv``, which returns its values or
+    raises its error."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return _read_rows_csv(path)
+    if any(sep in data for sep in _NUMPY_ONLY_SPACE):
+        return _read_rows_csv(path)
+    text = TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
+    try:
+        header = next(csv.reader(text), [])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return _read_rows_csv(path)
+    if values.shape[0] >= 1 and values.shape[1] == len(header) and np.isfinite(values).all():
+        return header, values
+    return _read_rows_csv(path)
 
 
 def read_feature_csv(path) -> tuple[list[str], np.ndarray]:
@@ -106,37 +142,33 @@ def read_dataset_csv(
     return Dataset(features, responses), names, dropped
 
 
+def _float_rows(matrix):
+    return ([format_float(v) for v in row.tolist()] for row in np.atleast_2d(matrix))
+
+
 def write_dataset_csv(path, dataset: Dataset, feature_names=None, response_name="y") -> None:
     if feature_names is None:
         feature_names = [f"x{i}" for i in range(dataset.d)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(feature_names) + [response_name])
-        for row, response in zip(dataset.features, dataset.responses):
-            writer.writerow([format_float(v) for v in row] + [format_float(response)])
+    header = list(feature_names) + [response_name]
+    grid = np.column_stack([dataset.features, dataset.responses])
+    write_rows_csv(path, itertools.chain([header], _float_rows(grid)))
 
 
 def write_predictions_csv(path, predictions) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["prediction"])
-        for value in np.asarray(predictions, dtype=np.float64):
-            writer.writerow([format_float(value)])
+    column = np.asarray(predictions, dtype=np.float64).reshape(-1, 1)
+    write_rows_csv(path, itertools.chain([["prediction"]], _float_rows(column)))
 
 
 def write_matrix_csv(path, matrix) -> None:
     """Plain numeric grid without a header (Grammian export)."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in np.atleast_2d(arr):
-            writer.writerow([format_float(v) for v in row])
+    write_rows_csv(path, _float_rows(np.asarray(matrix, dtype=np.float64)))
 
 
 def write_json(path, payload) -> None:
-    """Indented, key-sorted JSON and a newline, encoded whole, not streamed;
-    a NaN or infinite number raises ``ValueError``, as it is not JSON."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """Compact, key-sorted JSON on one line and a newline, encoded whole by
+    the C encoder (an ``indent`` would select the pure-Python one); a NaN or
+    infinite number raises ``ValueError``, as it is not JSON."""
+    text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -5,13 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nsim
 from nsim import cli
+from nsim import io as nsim_io
 from nsim.cli import main
 from nsim.data import Dataset
 from nsim.errors import DataError
@@ -20,6 +25,9 @@ from nsim.io import (
     read_dataset_csv,
     read_feature_csv,
     write_dataset_csv,
+    write_json,
+    write_matrix_csv,
+    write_predictions_csv,
 )
 
 
@@ -158,6 +166,122 @@ class TestIngest:
         dataset, _, _ = read_dataset_csv(path, log_response=True)
         assert np.allclose(dataset.responses, [0.0, math.log(10.0)])
 
+    def test_header_only_file_is_a_data_error_without_a_warning(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                read_dataset_csv(path)
+
+    def test_plain_file_is_parsed_without_the_row_reader(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,b,y\n1,2.5,-3\n\n4e-3,5,6\r\n")
+        with mock.patch.object(nsim_io, "_read_rows_csv", side_effect=AssertionError):
+            header, values = read_feature_csv(path)
+        assert header == ["a", "b", "y"]
+        assert np.array_equal(values, [[1.0, 2.5, -3.0], [4e-3, 5.0, 6.0]])
+
+
+_CLEAN_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), format_float(v), f"{v:.3e}", f"{v:.2f}"])
+) | st.integers(-(10**20), 10**20).map(str)
+# spellings that the row reader accepts (some only it), then ones it rejects
+_ODD_NUMBERS = ["-0", "+1", ".5", "5.", "1E5", " 2 ", "\t3", "\xa01", "1e-400", "1_0", '"1.5"',
+                '" -2e3"']
+_BAD_NUMBERS = ["", "abc", "0x10", "1.5e", "nan", "-nan", "inf", "-Infinity", "1e500", "-1e500",
+                "\x1c5", "6\x1f"]
+_BAD_LINES = [" ", "\t", "#", "# 1,2", ","]
+
+
+def _one_in_ten(rare, common):
+    return st.sampled_from(range(10)).flatmap(lambda i: rare if i == 5 else common)
+
+
+@st.composite
+def _csv_grids(draw):
+    """A header and rows, each with a one-in-ten chance of an odd number
+    spelling or a blank line; unless ``valid``, also of a bad spelling, a
+    bad line or a ragged row, and the body may be one column narrower or
+    wider than the header."""
+    valid = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(["a", "b", "y", '"q,1"', '" s "']), min_size=width,
+                          max_size=width))
+    odd = st.sampled_from(_ODD_NUMBERS if valid else _ODD_NUMBERS + _BAD_NUMBERS)
+    cells = _one_in_ten(odd, _CLEAN_NUMBERS)
+    if valid:
+        widths = st.just(width)
+    else:
+        body = draw(st.sampled_from([width - 1, width, width, width + 1]))
+        widths = _one_in_ten(st.sampled_from([max(body - 1, 0), body + 1]), st.just(body))
+    rows = widths.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n).map(",".join))
+    odd_lines = st.just("") if valid else st.sampled_from([""] + _BAD_LINES)
+    lines = draw(st.lists(_one_in_ten(odd_lines, rows), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([",".join(names), *lines]) + draw(st.sampled_from(["", newline]))
+
+
+# mostly numeric grids, some header-only, and the empty file
+csv_texts = _one_in_ten(st.just(""), _csv_grids())
+
+
+def _bits(part):
+    if isinstance(part, Dataset):
+        return _bits(part.features), _bits(part.responses)
+    if isinstance(part, np.ndarray):
+        return part.dtype, part.shape, part.tobytes()
+    return part
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``: its error's type and text, or its
+    result with every array as dtype, shape and bytes."""
+    try:
+        return [_bits(part) for part in read(path)]
+    except Exception as exc:  # the reference may raise any error; both must agree
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts)
+@example(text="a,y\n")
+@example(text="a\n")
+@example(text="a,b,y\n1,2\n3,4\n")
+@example(text="a,y\n1,2\n \n")
+@example(text="a,y\n1,2\n#\n")
+@example(text="a,y\n1,nan\n")
+@example(text="a,y\n\x1c5,1\n")
+@example(text='a,y\n"1",1_0\n')
+def test_csv_fast_path_matches_the_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fast_path.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    readers = (read_feature_csv, read_dataset_csv)
+    fast = [_outcome(read, path) for read in readers]
+    with mock.patch.object(nsim_io, "_read_numeric_csv", nsim_io._read_rows_csv):
+        reference = [_outcome(read, path) for read in readers]
+    assert fast == reference
+
+
+def test_csv_writers_text_is_unchanged(tmp_path):
+    data = Dataset(np.array([[1.0, 0.1], [-0.0, 1e-300]]), np.array([-0.5, 2.0]))
+    write_dataset_csv(tmp_path / "d.csv", data, ["a", "b,c"])
+    write_predictions_csv(tmp_path / "p.csv", [0.1, -2.0, 1e20])
+    write_matrix_csv(tmp_path / "m.csv", np.array([[1 / 3, 0.0], [2.0, -1e-5]]))
+    write_matrix_csv(tmp_path / "v.csv", np.array([0.5, 1.5]))
+    texts = {name: (tmp_path / f"{name}.csv").read_bytes() for name in "dpmv"}
+    assert texts == {
+        "d": b'a,"b,c",y\n1,0.10000000000000001,-0.5\n-0,1e-300,2\n',
+        "p": b"prediction\n0.10000000000000001\n-2\n1e+20\n",
+        "m": b"0.33333333333333331,0\n2,-1.0000000000000001e-05\n",
+        "v": b"0.5,1.5\n",
+    }
+
+
+def test_json_is_one_compact_key_sorted_line(tmp_path):
+    write_json(tmp_path / "o.json", {"b": [1.5, {"d": None, "c": 2}], "a": "inf", "e": 0.1})
+    assert (tmp_path / "o.json").read_text() == '{"a":"inf","b":[1.5,{"c":2,"d":null}],"e":0.1}\n'
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"a": math.nan})
+
 
 @pytest.fixture
 def synth_files(tmp_path, monkeypatch):
@@ -242,6 +366,8 @@ MODEL_CORRUPTIONS = {
     "level-means-x-short": lambda doc: doc.update(level_means_x=doc["level_means_x"][:-1]),
     "level-means-y-short": lambda doc: doc.update(level_means_y=doc["level_means_y"][:-1]),
     "counts-short": lambda doc: doc.update(counts=[1]),
+    "partition-kind-unknown": lambda doc: doc.update(partition_kind="bogus"),
+    "algorithm-unknown": lambda doc: doc.update(algorithm="weird"),
 }
 
 

@@ -19,9 +19,11 @@ from nsim.estimator import (
     fit,
     fit_split,
     linreg_predict,
+    load_model,
     model_from_dict,
     model_to_dict,
     predict_many,
+    save_model,
     two_thirds_k,
 )
 from nsim.geometry import SynthConfig, generate, make_curve
@@ -602,6 +604,14 @@ class TestCrossValidate:
         with pytest.raises(UsageError):
             cross_validate(dataset, j_grid, 1, folds=3, seed=0)
 
+    def test_unknown_partition_kind_is_a_usage_error_before_any_subset(self):
+        dataset, _ = synth(n=30, seed=53)
+        with mock.patch.object(Dataset, "subset", side_effect=AssertionError) as subset:
+            with pytest.raises(UsageError, match="unknown partition kind 'bogus'") as info:
+                cross_validate(dataset, [1, 2], 3, folds=3, seed=1, partition_kind="bogus")
+        assert not str(info.value).startswith("J=")
+        assert subset.call_count == 0
+
     @pytest.mark.parametrize(
         "options",
         [{"folds": 2.5}, {"folds": True}, {"seed": -1}, {"seed": True}, {"seed": 1.5}],
@@ -721,6 +731,20 @@ class TestSerialization:
         assert restored.algorithm == "split"
         queries = np.random.default_rng(8).normal(size=(30, 4))
         assert np.array_equal(predict_many(restored, queries), predict_many(model, queries))
+
+    def test_indented_model_file_loads_and_predicts_bit_identically(self, tmp_path):
+        model = fit(synth(n=120, seed=60, c=0.1)[0], 3, 2, eta=0.5)
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_model(compact, model)
+        # the layout of model files written before the writer became compact
+        old_text = json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False)
+        indented.write_text(old_text + "\n", encoding="utf-8")
+        assert compact.read_text(encoding="utf-8").count("\n") == 1
+        assert json.loads(compact.read_text(encoding="utf-8")) == json.loads(old_text)
+        queries = np.random.default_rng(9).normal(size=(40, 4))
+        expected = predict_many(model, queries).tobytes()
+        assert predict_many(load_model(compact), queries).tobytes() == expected
+        assert predict_many(load_model(indented), queries).tobytes() == expected
 
     def test_version_guard(self):
         dataset, _ = synth(n=60, seed=59)
