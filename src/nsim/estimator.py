@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,12 @@ class FittedNsim:
 
     def tangent_rows(self) -> np.ndarray:
         return self.tangents.vectors[self.tangent_assignment]
+
+    @cached_property
+    def proxy_index(self) -> "ProxyIndex":
+        """The neighbour search's index over the training rows, built once
+        per model object on first use; it is not part of the model JSON."""
+        return ProxyIndex(self.train.features, self.tangents.vectors, self.tangent_assignment)
 
 
 def check_partition_kind(kind) -> str:
@@ -128,7 +135,7 @@ def fit_split(
     geometry = fit(geometry_half, j_count, k, eta, partition_kind, rank_tol)
     inherited = _neighbour_means(
         prediction_half.features, geometry_half.features, geometry.tangent_assignment, [1],
-        (geometry.tangents.vectors, geometry.tangent_assignment), geometry.eta,
+        geometry.proxy_index, geometry.eta,
     )[0]
     return replace(
         geometry,
@@ -152,6 +159,23 @@ def _as_queries(queries, d: int) -> np.ndarray:
 
 _CHUNK_BUDGET = 4_000_000  # floats per (queries x candidates) scratch block
 
+# A finite-eta proxy search walks the sorted-offset index when
+# max(ks) * _INDEX_ROWS_PER_K <= N and tests every row otherwise.  On the
+# perfbench helix (D = 12, N = 16384, eta = 0.5, 10% of queries off the
+# tube; 2 cores, OpenBLAS) the walk took 0.31-0.35 of the loop's time at
+# k = 32, 0.53-0.56 at k = 128, and broke even near k = 256 (N / k = 64):
+# 0.95-1.04 at k = 256 and 1.04 at predict-stream's k = 323.
+_INDEX_ROWS_PER_K = 128
+# A query whose proxy windows would hold more than N / _INDEX_WINDOW_DIVISOR
+# rows before it is settled leaves the walk for the loop's full radius test.
+# This bounds the walk's cost where the data are not near a curve: on
+# Gaussian features (D = 3 and 12) the search took 1.03-1.11 of the loop's
+# time, against 16 times it with no bound.
+_INDEX_WINDOW_DIVISOR = 32
+
+_EPS = float(np.finfo(np.float64).eps)
+_MAX_RADIUS = float(np.finfo(np.float64).max) / 4  # a radius that doubles stays finite
+
 
 def _query_chunks(n_queries: int, n_candidates: int):
     step = max(1, _CHUNK_BUDGET // max(1, n_candidates))
@@ -159,13 +183,15 @@ def _query_chunks(n_queries: int, n_candidates: int):
         yield start, min(start + step, n_queries)
 
 
-def _euclidean_sq_block(queries, candidates, cand_sq) -> np.ndarray:
-    out = queries @ candidates.T
-    out *= -2.0
-    out += np.einsum("md,md->m", queries, queries)[:, None]
-    out += cand_sq[None, :]
-    np.maximum(out, 0.0, out=out)
-    return out
+def _expanded_sq(prod, q_sq, c_sq) -> np.ndarray:
+    """||q||^2 - 2 q.x + ||x||^2 from ``prod`` = q.x, in place, clamped at 0.
+    Every Euclidean distance of the search comes from here, so an entry
+    gathered on its own has the bits it has in a full block."""
+    prod *= -2.0
+    prod += q_sq
+    prod += c_sq
+    np.maximum(prod, 0.0, out=prod)
+    return prod
 
 
 def _smallest(row, k: int) -> np.ndarray:
@@ -179,62 +205,229 @@ def _smallest(row, k: int) -> np.ndarray:
     return pool[np.argsort(row[pool], kind="stable")][:take]
 
 
+class ProxyIndex:
+    """The proxy metric over one training set: the tangent ``vectors``,
+    each row's level set in ``assignment`` and its offset c_i = a_i^T X_i.
+    ``sorted`` orders each level set's offsets on first use."""
+
+    def __init__(self, train_x, vectors, assignment):
+        self.vectors = vectors
+        self.assignment = assignment
+        self.offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
+
+    @cached_property
+    def sorted(self):
+        """(order, offsets[order], bounds): the rows by level set, then
+        offset, then index; level set j holds positions bounds[j]:bounds[j+1]."""
+        order = np.lexsort((self.offsets, self.assignment))
+        bounds = np.searchsorted(self.assignment[order], np.arange(len(self.vectors) + 1))
+        return order, self.offsets[order], bounds
+
+    @cached_property
+    def vector_norm(self) -> float:
+        return float(np.sqrt(np.einsum("jd,jd->j", self.vectors, self.vectors).max()))
+
+
+def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.ndarray:
+    """Per query, a bound on the computed proxy distance of every row that
+    passes the computed radius test.
+
+    With reach = ||q|| + max ||X_i||, the expanded squared distance is
+    within (D/2 + 1) eps reach^2 of the exact one, so a passing row lies
+    within sqrt(eta^2 + that) of q, and by Cauchy-Schwarz its exact proxy
+    distance is at most ||a|| times that.  The two computed dot products
+    add D eps ||a|| reach / 2.  Both terms are doubled here; with squared
+    row norms below max_float / 8, reach^2 <= max_float / 2 cannot overflow.
+    """
+    reach = np.sqrt(q_sq) + math.sqrt(c_sq_max)
+    rounding = (d + 3) * _EPS * reach * reach
+    bound = np.sqrt(eta * eta + rounding) + (d + 2) * _EPS * reach
+    return bound * (index.vector_norm * (1.0 + 8.0 * _EPS))
+
+
+def _lex_order(owner, dist, rows, n: int) -> np.ndarray:
+    """``np.lexsort((rows, dist, owner))`` for owners and rows below n and
+    M = len(dist) <= m n entries: one float sort ranks the distances (equal
+    ones share a rank), and the unique integer key (owner M + rank) n + row,
+    below (m n)^2, orders the rest."""
+    by_dist = np.argsort(dist)
+    ranked = dist[by_dist]
+    rank = np.empty(dist.shape[0], dtype=np.int64)
+    rank[by_dist] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    return np.argsort((owner * dist.shape[0] + rank) * n + rows)
+
+
+def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max: int, slab):
+    """(picks, takes, rest): the first ``takes[i]`` entries of ``picks[i]``
+    are the rows the radius-first loop picks for query i, in its order,
+    except for the queries in ``rest``, left to the loop.
+
+    Per level set j, a query gathers the rows whose offsets lie in
+    [p_j - r, p_j + r], found by ``searchsorted``, and takes their radius
+    test and proxy distances from ``gram`` (the chunk's q.x block) and
+    ``proj`` as the loop does.  It is settled once its k-th in-radius
+    distance lies below every row left out, or every row left out lies
+    beyond its ``slab`` bound and so cannot pass the radius test; until
+    then r doubles.  Both checks read the nearest left-out row on each side
+    of each window, which no row further out in offset order undercuts, so
+    ties at the k-th place are gathered whole.  A query whose windows would
+    hold more than N / _INDEX_WINDOW_DIVISOR rows joins ``rest``.
+    """
+    m, n = gram.shape
+    order, sorted_off, bounds = index.sorted
+    first, last = bounds[:-1], bounds[1:]
+    eta_sq = eta * eta
+    width = min(k_max, n)
+    picks = np.zeros((m, width), dtype=np.intp)
+    takes = np.zeros(m, dtype=np.intp)
+    rest = []
+    todo = np.arange(m)
+    # windows start at 16 k / N of eta, a few times k rows for data near a curve
+    radius = np.full(m, min(eta, _MAX_RADIUS) * min(1.0, 16.0 * k_max / n))
+    while todo.size:
+        p, r = proj[todo], radius[todo]
+        lo = np.empty(p.shape, dtype=np.intp)
+        hi = np.empty(p.shape, dtype=np.intp)
+        for j in range(first.shape[0]):
+            level = sorted_off[first[j]:last[j]]
+            ends = np.searchsorted(level, np.concatenate((p[:, j] - r, p[:, j] + r)))
+            lo[:, j], hi[:, j] = ends[: todo.size], ends[todo.size:]
+        lo += first
+        hi += first
+        held = (hi - lo).sum(axis=1)
+        heavy = held > n // _INDEX_WINDOW_DIVISOR
+        if heavy.any():
+            rest.append(todo[heavy])
+            todo, p, lo, hi, held = todo[~heavy], p[~heavy], lo[~heavy], hi[~heavy], held[~heavy]
+            if not todo.size:
+                break
+
+        lengths = (hi - lo).ravel()
+        ends = np.cumsum(lengths)
+        rows = order[np.arange(ends[-1]) + np.repeat(lo.ravel() - (ends - lengths), lengths)]
+        owner = np.repeat(todo, held)
+        inside = ~(_expanded_sq(gram[owner, rows], q_sq[owner], c_sq[rows]) > eta_sq)
+        owner, rows = owner[inside], rows[inside]
+        dist = np.abs(proj[owner, index.assignment[rows]] - index.offsets[rows])
+        ranked = _lex_order(owner, dist, rows, n)
+        owner, rows, dist = owner[ranked], rows[ranked], dist[ranked]
+        seg = np.searchsorted(owner, todo)
+        count = np.searchsorted(owner, todo, "right") - seg
+
+        has_left, has_right = lo > first, hi < last
+        left = np.where(has_left, np.abs(p - sorted_off[np.where(has_left, lo - 1, 0)]), np.inf)
+        right = np.where(has_right, np.abs(p - sorted_off[np.where(has_right, hi, 0)]), np.inf)
+        frontier = np.minimum(left, right).min(axis=1)
+        kth = np.full(todo.size, np.inf)
+        full = count >= k_max
+        kth[full] = dist[seg[full] + k_max - 1]
+        done = (kth < frontier) | (frontier > slab[todo]) | np.isinf(frontier)
+
+        settled, take, seg = todo[done], np.minimum(count[done], k_max), seg[done]
+        takes[settled] = take
+        col = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
+        picks[np.repeat(settled, take), col] = rows[np.repeat(seg, take) + col]
+        empty = take == 0
+        if empty.any():  # no row inside the radius: leave the fallback to the loop
+            rest.append(settled[empty])
+        todo = todo[~done]
+        limit = np.minimum(slab[todo], _MAX_RADIUS)
+        radius[todo] = np.where(radius[todo] < limit, radius[todo], np.inf) * 2.0
+    return picks, takes, np.concatenate(rest) if rest else np.empty(0, dtype=np.intp)
+
+
+def _average_picks(values, picks, takes, ks, out) -> None:
+    """out[i, q] = the mean of ``values`` over the first min(ks[i], takes[q])
+    picks of query q, as ``sum() / size``: queries sharing a size are summed
+    together, row by row, with the bits of one query's ``sum()``."""
+    for ki, k in enumerate(ks):
+        sizes = np.minimum(takes, k)
+        for size in np.flatnonzero(np.bincount(sizes)):
+            rows = np.flatnonzero(sizes == size)
+            out[ki, rows] = values[picks[rows, :size]].sum(axis=1) / size
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing sum surfaces as a DataError
-def _neighbour_means(queries, train_x, values, ks, proxy=None, eta: float = math.inf):
+def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = None,
+                     eta: float = math.inf):
     """(len(ks), n_queries) array whose row i averages ``values`` over each
     query's ks[i] nearest training rows in (distance, index) order, so ties
     go to the lower index.
 
-    With ``proxy = (vectors, assignment)`` the distance to row i is the
-    restricted proxy metric |a_i^T (x - X_i)| with a_i = vectors[assignment[i]],
-    computed as |a_i^T x - a_i^T X_i| with the second dot product taken once.
-    Without it the distance is Euclidean.  Fewer than k rows inside the
-    radius eta are all averaged; with none, the Euclidean-nearest row alone is.
+    With a ``proxy`` index the distance to row i is the restricted proxy
+    metric |a_i^T (x - X_i)|, computed as |a_i^T x - c_i| with the offsets
+    c_i of the index.  Without it the distance is Euclidean.  Fewer than k
+    rows inside the radius eta are all averaged; with none, the
+    Euclidean-nearest row alone is.
 
     Each query is ranked once, with max(ks), and each k averages the first
-    k rows of that ranking, gathered on their own (a prefix sum would differ
-    in the last bits); a finite-eta row takes ``sum() / size``, which is
-    ``mean`` bit for bit.  A non-finite average raises ``DataError``.
+    k rows of that ranking (``_average_picks``; a prefix sum would differ in
+    the last bits).  A non-finite average raises ``DataError``.
 
-    Per query, a finite eta costs the O(N D) Euclidean radius block plus
-    O(J D); proxy distances and selection then run over the in-radius rows
-    only.  With eta infinite, proxy distances and selection cover all N rows.
+    A finite-eta search computes each query chunk's q.x block with one
+    matrix product, O(N D) per query, into one scratch buffer, and takes
+    every radius test and Euclidean fallback from it.  Then:
+    - with max(ks) * _INDEX_ROWS_PER_K <= N, the sorted-offset index walk
+      (``_indexed_picks``) costs O(J log N) per doubling of its windows plus
+      the rows in them: on the perfbench helix about 3 rows per query for
+      k = 1 and 80 for k = 32.  A query with no row inside the radius, or
+      whose windows would hold more than N / _INDEX_WINDOW_DIVISOR rows,
+      is left to the loop;
+    - otherwise the radius-first loop tests all N rows of each query, O(N),
+      and ranks the in-radius ones.
+    Both pick the same rows from the same bits.  With eta infinite, proxy
+    distances and selection cover all N rows, O(N) per query.
     """
-    n = train_x.shape[0]
+    n, d = train_x.shape
     k_max = max(ks)
+    width = min(k_max, n)
     out = np.empty((len(ks), queries.shape[0]))
     clipped = proxy is not None and not math.isinf(eta)
+    indexed = clipped and k_max * _INDEX_ROWS_PER_K <= n
     cand_sq = np.einsum("nd,nd->n", train_x, train_x) if proxy is None or clipped else None
-    if proxy is not None:
-        vectors, assignment = proxy
-        offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
+    scratch = None
     for start, stop in _query_chunks(queries.shape[0], n):
         block = queries[start:stop]
+        m = stop - start
         if clipped:
-            eucl2 = _euclidean_sq_block(block, train_x, cand_sq)
-            proj = block @ vectors.T
-            inside = ~(eucl2 > eta * eta)
-            for i, row_inside in enumerate(inside):
+            if scratch is None:
+                scratch = np.empty((m, n))
+            gram = np.matmul(block, train_x.T, out=scratch[:m])
+            q_sq = np.einsum("md,md->m", block, block)
+            proj = block @ proxy.vectors.T
+            # the walk reads q.x as it is; only the loop's rows are expanded
+            if indexed:
+                slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d)
+                picks, takes, rest = _indexed_picks(
+                    proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab
+                )
+                inside = [~(_expanded_sq(gram[i], q_sq[i], cand_sq) > eta * eta) for i in rest]
+            else:
+                picks = np.empty((m, width), dtype=np.intp)
+                takes = np.empty(m, dtype=np.intp)
+                rest = range(m)
+                inside = ~(_expanded_sq(gram, q_sq[:, None], cand_sq) > eta * eta)
+            for i, row_inside in zip(rest, inside):
                 cand = np.flatnonzero(row_inside)  # ascending index order
                 if cand.size == 0:
-                    picks = np.argmin(eucl2[i], keepdims=True)
+                    chosen = np.argmin(gram[i], keepdims=True)
                 else:
-                    dist = np.abs(proj[i][assignment[cand]] - offsets[cand])
-                    picks = cand[_smallest(dist, k_max)]
-                for ki, k in enumerate(ks):
-                    chosen = values[picks[:k]]
-                    out[ki, start + i] = chosen.sum() / chosen.size
-            continue
-        if proxy is None:
-            dist = _euclidean_sq_block(block, train_x, cand_sq)
+                    dist = np.abs(proj[i][proxy.assignment[cand]] - proxy.offsets[cand])
+                    chosen = cand[_smallest(dist, k_max)]
+                picks[i, : chosen.size] = chosen
+                takes[i] = chosen.size
         else:
-            dist = np.abs((block @ vectors.T)[:, assignment] - offsets[None, :])
-        picks = np.empty((stop - start, min(k_max, n)), dtype=np.intp)
-        for i, row in enumerate(dist):
-            picks[i] = _smallest(row, k_max)
-        del dist  # free the distance block before the gathers
-        for ki, k in enumerate(ks):
-            out[ki, start:stop] = values[picks[:, :k]].mean(axis=1)
+            if proxy is None:
+                q_sq = np.einsum("md,md->m", block, block)
+                dist = _expanded_sq(block @ train_x.T, q_sq[:, None], cand_sq)
+            else:
+                dist = np.abs((block @ proxy.vectors.T)[:, proxy.assignment] - proxy.offsets)
+            picks = np.empty((m, width), dtype=np.intp)
+            for i, row in enumerate(dist):
+                picks[i] = _smallest(row, k_max)
+            del dist  # free the distance block before the gathers
+            takes = np.full(m, width)
+        _average_picks(values, picks, takes, ks, out[:, start:stop])
     if not np.isfinite(out).all():
         raise DataError("non-finite neighbour average: responses too large in magnitude")
     return out
@@ -261,8 +454,7 @@ def predict_many(model: FittedNsim, queries, k=None) -> np.ndarray:
     xs = _as_queries(queries, model.train.d)
     ks = [model.k] if k is None else count_grid(k, "k")
     means = _neighbour_means(
-        xs, model.train.features, model.train.responses, ks,
-        (model.tangents.vectors, model.tangent_assignment), model.eta,
+        xs, model.train.features, model.train.responses, ks, model.proxy_index, model.eta
     )
     return means if _is_grid(k) else means[0]
 
@@ -404,11 +596,16 @@ def baseline_knn_many(data: Dataset, queries, k) -> np.ndarray:
 
 def baseline_linreg(data: Dataset) -> tuple[np.ndarray, float]:
     """Ordinary least squares on the full dataset via the pseudo-inverse;
-    rank-deficient designs get the minimum-norm solution."""
-    sigma = sample_covariance(data.features)
-    r = cross_covariance(data.features, data.responses)
-    weights = pseudo_inverse(sigma) @ r
-    intercept = float(data.responses.mean() - weights @ data.features.mean(axis=0))
+    rank-deficient designs get the minimum-norm solution.  Data whose
+    moments overflow, so that a weight or the intercept is not finite,
+    raise ``DataError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = sample_covariance(data.features)
+        r = cross_covariance(data.features, data.responses)
+        weights = pseudo_inverse(sigma) @ r
+        intercept = float(data.responses.mean() - weights @ data.features.mean(axis=0))
+    if not (np.isfinite(weights).all() and math.isfinite(intercept)):
+        raise DataError("non-finite least-squares fit: moments of the data overflow")
     return weights, intercept
 
 

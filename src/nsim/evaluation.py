@@ -47,17 +47,27 @@ _CURVE_ID = {kind: i for i, kind in enumerate(CURVE_KINDS)}
 
 
 def rmse_function(predictions, truths) -> float:
-    """Relative RMSE: sqrt(sum (pred - truth)^2 / sum truth^2)."""
+    """Relative RMSE: sqrt(sum (pred - truth)^2 / sum truth^2).
+
+    When either sum overflows, or the truths' underflows to 0, both sums
+    are taken again on the values divided by max |truth|, which leaves the
+    ratio unchanged; otherwise the plain sums give the result."""
     preds = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(truths, dtype=np.float64)
     if preds.shape != truth.shape or preds.ndim != 1 or preds.size == 0:
         raise DataError(
             f"predictions and truths must be equal-length vectors, got {preds.shape} and {truth.shape}"
         )
-    denom = float(np.sum(truth**2))
-    if denom == 0.0:
-        raise DataError("undefined relative RMSE: truths are all zero")
-    return math.sqrt(float(np.sum((preds - truth) ** 2)) / denom)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        err = float(np.sum((preds - truth) ** 2))
+        denom = float(np.sum(truth**2))
+        if not (math.isfinite(err) and math.isfinite(denom) and denom > 0.0):
+            scale = float(np.max(np.abs(truth)))
+            if scale == 0.0:
+                raise DataError("undefined relative RMSE: truths are all zero")
+            err = float(np.sum((preds / scale - truth / scale) ** 2))
+            denom = float(np.sum((truth / scale) ** 2))
+    return math.sqrt(err / denom)
 
 
 def rmse_tangent(estimated, true_at_midpoints) -> float:

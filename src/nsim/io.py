@@ -24,6 +24,17 @@ def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _csv_records(path, lines):
+    """``csv.reader`` over ``lines``; a malformed record, such as a cell
+    past the csv module's field size limit, raises ``DataError`` naming the
+    file and line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_rows_csv(path) -> tuple[list[str], np.ndarray]:
     """The reference reader: one ``float`` per cell, and the error that
     names the file, line and column of the first bad cell."""
@@ -32,7 +43,7 @@ def _read_rows_csv(path) -> tuple[list[str], np.ndarray]:
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -87,7 +98,7 @@ def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
         return _read_rows_csv(path)
     text = TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
     try:
-        header = next(csv.reader(text), [])
+        header = next(_csv_records(path, text), [])
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)

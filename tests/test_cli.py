@@ -151,6 +151,19 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3.*'a'"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a,y\n1,2\n" + "x" * 140_000 + ",3\n", 3), ("a" * 140_000 + ",y\n1,2\n", 1)],
+        ids=["body", "header"],
+    )
+    def test_cell_past_the_csv_field_limit_is_one_data_error(self, tmp_path, text, line):
+        data = write_csv(tmp_path / "long.csv", text)
+        proc = run_module("fit", "--data", data, "--J", 1, "--k", 1, "--out", tmp_path / "m.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+        assert proc.stderr.startswith(f"nsim: error [data] {data}: line {line}: field larger")
+        assert "Traceback" not in proc.stderr
+
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,y\n1,2\nnan,4\n")
         with pytest.raises(DataError, match="non-finite"):

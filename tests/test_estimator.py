@@ -312,6 +312,26 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
     assert np.array_equal(got_knn, brute_force_knn(model.train, queries, model.k))
 
 
+def walk_the_index():
+    """Send every finite-eta search through the sorted-offset index, and
+    let no query leave it for the radius-first loop on window size."""
+    return mock.patch.multiple(estimator, _INDEX_ROWS_PER_K=0, _INDEX_WINDOW_DIVISOR=1)
+
+
+@given(averaging_problems())
+@settings(max_examples=200, deadline=None)
+def test_k_grid_averages_through_the_index_equal_per_query_means(problem):
+    with walk_the_index():
+        test_k_grid_averages_equal_per_query_means_bit_for_bit.hypothesis.inner_test(problem)
+
+
+@given(tied_problems())
+@settings(max_examples=200, deadline=None)
+def test_index_search_matches_brute_force_with_ties(problem):
+    with walk_the_index():
+        test_neighbour_search_matches_brute_force_with_ties.hypothesis.inner_test(problem)
+
+
 @st.composite
 def grid_problems(draw):
     """A tied problem with its radius redrawn (0.25 sends most half-integer
@@ -431,6 +451,13 @@ def test_split_assignment_matches_brute_force_with_ties(problem):
     assert np.array_equal(
         split.tangent_assignment, brute_force_split_assignment(geometry, prediction, split)
     )
+
+
+@given(split_problems())
+@settings(max_examples=200, deadline=None)
+def test_split_assignment_through_the_index_matches_brute_force_with_ties(problem):
+    with walk_the_index():
+        test_split_assignment_matches_brute_force_with_ties.hypothesis.inner_test(problem)
 
 
 class TestFitSplit:
@@ -697,6 +724,12 @@ class TestBaselineLinreg:
         oracle, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert np.allclose(weights, oracle[:5], atol=1e-8)
         assert abs(intercept - oracle[5]) < 1e-8
+
+    def test_moments_that_overflow_are_a_data_error(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(300, 3))
+        with pytest.raises(DataError, match="non-finite least-squares fit"):
+            baseline_linreg(Dataset(x, 1e306 * x[:, 0] + 5e306))
 
     def test_predict_helper(self):
         weights, intercept = np.array([1.0, -2.0]), 0.5

@@ -40,6 +40,24 @@ class TestRmseFunction:
         with pytest.raises(DataError, match="relative RMSE"):
             rmse_function([1.0], [0.0])
 
+    def test_responses_near_float_max_keep_the_ratio(self):
+        # the plain squared sums overflow; the ratio does not
+        rng = np.random.default_rng(0)
+        truths = 1e306 * rng.normal(size=300) + 5e306
+        assert rmse_function(0.5 * truths, truths) == pytest.approx(0.5, rel=1e-12)
+        assert rmse_function(truths, truths) == 0.0
+
+    def test_tiny_truths_are_not_taken_for_zero(self):
+        assert rmse_function([1e-200, 0.0], [2e-200, 1e-200]) == pytest.approx(
+            math.sqrt(2.0 / 5.0), rel=1e-12
+        )
+
+    def test_finite_sums_give_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        preds, truths = rng.normal(size=40) * 1e150, rng.normal(size=40) * 1e150
+        plain = math.sqrt(float(np.sum((preds - truths) ** 2)) / float(np.sum(truths**2)))
+        assert rmse_function(preds, truths) == plain
+
 
 class TestRmseTangent:
     def test_zero_when_equal(self):
