@@ -159,18 +159,31 @@ def _as_queries(queries, d: int) -> np.ndarray:
 
 _CHUNK_BUDGET = 4_000_000  # floats per (queries x candidates) scratch block
 
-# A finite-eta proxy search walks the sorted-offset index when
-# max(ks) * _INDEX_ROWS_PER_K <= N and tests every row otherwise.  On the
-# perfbench helix (D = 12, N = 16384, eta = 0.5, 10% of queries off the
-# tube; 2 cores, OpenBLAS) the walk took 0.31-0.35 of the loop's time at
-# k = 32, 0.53-0.56 at k = 128, and broke even near k = 256 (N / k = 64):
-# 0.95-1.04 at k = 256 and 1.04 at predict-stream's k = 323.
-_INDEX_ROWS_PER_K = 128
-# A query whose proxy windows would hold more than N / _INDEX_WINDOW_DIVISOR
-# rows before it is settled leaves the walk for the loop's full radius test.
-# This bounds the walk's cost where the data are not near a curve: on
-# Gaussian features (D = 3 and 12) the search took 1.03-1.11 of the loop's
-# time, against 16 times it with no bound.
+# A finite-eta proxy search walks the sorted-offset index while its first
+# windows, 16 k / N of eta wide, are narrower than eta (16 max(ks) < N), and a
+# query leaves the walk for the loop once its windows would hold more than
+# max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
+# (``_walk_rows``).  Search time over the loop's, by the bound on a query's
+# rows (median of 7 paired ratios; 2 cores, OpenBLAS on one thread; the
+# perfbench helix, D = 12, N = 16384, J = 8, eta = 0.5, 2000 queries in
+# batches of 50, 10% off the tube; "split" is fit_split's k = 1 search on
+# N = 8192, J = 16):
+#
+#   bound             split  k=1   k=32  k=64  k=128 k=323 k=1024 k=2048
+#   N/32              0.23   0.65  0.55  0.54  0.56  1.03  0.99   1.02
+#   N/8               0.24   0.71  0.63  0.56  0.60  0.75  1.08   1.03
+#   4k                0.35   0.61  0.50  0.51  0.57  0.77  1.03   1.79
+#   max(N/32, 4k)     0.23   0.68  0.54  0.52  0.57  0.78  (loop) (loop)
+#   previous walk     0.22   0.62  0.54  0.56  0.67  (loop) (loop) (loop)
+#
+# Queries off the tube fill their windows with rows outside the radius; a
+# bound near N/32 sends them to the loop early, while the k = 323 queries
+# need about 3 k rows and a bound of 4 k keeps them in the walk.  On data
+# not near a curve the walk gains little: on Gaussian features (D = 3 and
+# 12, 1000 queries) it took 0.72-1.36 of the loop's time for k = 1 and 32
+# (the previous walk 0.69-1.55) and 1.11-1.41 for k = 323, which the
+# previous rule sent to the loop.
+_INDEX_ROWS_PER_K = 4
 _INDEX_WINDOW_DIVISOR = 32
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -245,74 +258,96 @@ def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.nd
     return bound * (index.vector_norm * (1.0 + 8.0 * _EPS))
 
 
-def _lex_order(owner, dist, rows, n: int) -> np.ndarray:
-    """``np.lexsort((rows, dist, owner))`` for owners and rows below n and
-    M = len(dist) <= m n entries: one float sort ranks the distances (equal
-    ones share a rank), and the unique integer key (owner M + rank) n + row,
-    below (m n)^2, orders the rest."""
-    by_dist = np.argsort(dist)
-    ranked = dist[by_dist]
-    rank = np.empty(dist.shape[0], dtype=np.int64)
-    rank[by_dist] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-    return np.argsort((owner * dist.shape[0] + rank) * n + rows)
+def _walk_rows(k_max: int, n: int) -> int:
+    """The rows a query's windows may hold before it leaves the
+    sorted-offset walk for the loop; 0 when the walk does not run, because
+    its first windows (16 k / N of eta) would be no narrower than eta."""
+    if 16 * k_max >= n:
+        return 0
+    return max(n // _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * k_max)
 
 
-def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max: int, slab):
+def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max: int, slab,
+                   bound: int):
     """(picks, takes, rest): the first ``takes[i]`` entries of ``picks[i]``
     are the rows the radius-first loop picks for query i, in its order,
     except for the queries in ``rest``, left to the loop.
 
-    Per level set j, a query gathers the rows whose offsets lie in
-    [p_j - r, p_j + r], found by ``searchsorted``, and takes their radius
-    test and proxy distances from ``gram`` (the chunk's q.x block) and
-    ``proj`` as the loop does.  It is settled once its k-th in-radius
-    distance lies below every row left out, or every row left out lies
-    beyond its ``slab`` bound and so cannot pass the radius test; until
-    then r doubles.  Both checks read the nearest left-out row on each side
-    of each window, which no row further out in offset order undercuts, so
-    ties at the k-th place are gathered whole.  A query whose windows would
-    hold more than N / _INDEX_WINDOW_DIVISOR rows joins ``rest``.
+    Per level set j, a query's window holds the rows whose offsets lie in
+    [p_j - r, p_j + r], found by ``searchsorted``; the rows that entered it
+    take their radius test and proxy distances from ``gram`` (the chunk's
+    q.x block) and ``proj`` as the loop does, and the in-radius ones are
+    kept, one row of a block per query.  The query is settled once its k-th
+    in-radius distance lies below every row left out, or every row left
+    out lies beyond its ``slab`` bound and so cannot pass the radius test;
+    until then r doubles and only the rows new to the windows are gathered.
+    Both checks read the nearest left-out row on each side of each window,
+    which no row further out in offset order undercuts, so ties at the k-th
+    place are gathered whole.  A query whose windows would hold more than
+    ``bound`` rows joins ``rest``.
     """
     m, n = gram.shape
+    n_sets = proj.shape[1]
     order, sorted_off, bounds = index.sorted
     first, last = bounds[:-1], bounds[1:]
+    flat_gram, flat_proj = gram.ravel(), proj.ravel()
     eta_sq = eta * eta
-    width = min(k_max, n)
-    picks = np.zeros((m, width), dtype=np.intp)
+    picks = np.zeros((m, min(k_max, n)), dtype=np.intp)
     takes = np.zeros(m, dtype=np.intp)
-    rest = []
+    rest = [np.empty(0, dtype=np.intp)]
     todo = np.arange(m)
     # windows start at 16 k / N of eta, a few times k rows for data near a curve
     radius = np.full(m, min(eta, _MAX_RADIUS) * min(1.0, 16.0 * k_max / n))
+    lo_was = hi_was = None  # the windows of the round before
+    # per query in todo: its in-radius rows so far, their distances (inf
+    # past the count) and indices
+    count = np.zeros(m, dtype=np.intp)
+    dists, found = np.empty((m, 0)), np.empty((m, 0), dtype=np.intp)
     while todo.size:
-        p, r = proj[todo], radius[todo]
-        lo = np.empty(p.shape, dtype=np.intp)
-        hi = np.empty(p.shape, dtype=np.intp)
-        for j in range(first.shape[0]):
-            level = sorted_off[first[j]:last[j]]
-            ends = np.searchsorted(level, np.concatenate((p[:, j] - r, p[:, j] + r)))
-            lo[:, j], hi[:, j] = ends[: todo.size], ends[todo.size:]
-        lo += first
-        hi += first
-        held = (hi - lo).sum(axis=1)
-        heavy = held > n // _INDEX_WINDOW_DIVISOR
+        p, r = proj[todo], radius[todo, None]
+        keys = np.concatenate(((p - r).T, (p + r).T), axis=1)  # per level set, both window ends
+        ends = np.empty(keys.shape, dtype=np.intp)
+        for j in range(n_sets):
+            ends[j] = np.searchsorted(sorted_off[first[j]:last[j]], keys[j])
+        ends += first[:, None]
+        lo, hi = ends[:, : todo.size].T.copy(), ends[:, todo.size:].T.copy()
+        if lo_was is None:
+            lo_was = hi_was = lo
+        heavy = (hi - lo).sum(axis=1) > bound
         if heavy.any():
             rest.append(todo[heavy])
-            todo, p, lo, hi, held = todo[~heavy], p[~heavy], lo[~heavy], hi[~heavy], held[~heavy]
+            light = ~heavy
+            todo, p, lo, hi, lo_was, hi_was = (a[light] for a in (todo, p, lo, hi, lo_was, hi_was))
+            count, dists, found = count[light], dists[light], found[light]
             if not todo.size:
                 break
 
-        lengths = (hi - lo).ravel()
+        # the rows new to each window, left of the old window, then right of it
+        run_lo = np.concatenate((lo, hi_was), axis=1)
+        run_len = np.concatenate((lo_was - lo, hi - hi_was), axis=1)
+        lengths = run_len.ravel()
         ends = np.cumsum(lengths)
-        rows = order[np.arange(ends[-1]) + np.repeat(lo.ravel() - (ends - lengths), lengths)]
-        owner = np.repeat(todo, held)
-        inside = ~(_expanded_sq(gram[owner, rows], q_sq[owner], c_sq[rows]) > eta_sq)
-        owner, rows = owner[inside], rows[inside]
-        dist = np.abs(proj[owner, index.assignment[rows]] - index.offsets[rows])
-        ranked = _lex_order(owner, dist, rows, n)
-        owner, rows, dist = owner[ranked], rows[ranked], dist[ranked]
-        seg = np.searchsorted(owner, todo)
-        count = np.searchsorted(owner, todo, "right") - seg
+        rows = order[np.arange(ends[-1]) + np.repeat(run_lo.ravel() - (ends - lengths), lengths)]
+        fresh = run_len.sum(axis=1)
+        at = np.repeat(todo * n, fresh) + rows
+        inside = ~(_expanded_sq(flat_gram[at], np.repeat(q_sq[todo], fresh), c_sq[rows]) > eta_sq)
+        rows = rows[inside]
+        passed = np.concatenate(([0], np.cumsum(inside)))[np.cumsum(fresh)]
+        added = passed - np.concatenate(([0], passed[:-1]))
+        at = np.repeat(todo * n_sets, added) + index.assignment[rows]
+        dist = np.abs(flat_proj[at] - index.offsets[rows])
+        grow = (count + added).max() - dists.shape[1]
+        if grow > 0:
+            dists = np.hstack((dists, np.full((todo.size, grow), np.inf)))
+            found = np.hstack((found, np.zeros((todo.size, grow), dtype=np.intp)))
+        # each new row goes after the rows its query holds
+        width = dists.shape[1]
+        at = np.arange(rows.shape[0]) + np.repeat(
+            np.arange(todo.size) * width + count - (passed - added), added
+        )
+        dists.ravel()[at] = dist
+        found.ravel()[at] = rows
+        count = count + added
 
         has_left, has_right = lo > first, hi < last
         left = np.where(has_left, np.abs(p - sorted_off[np.where(has_left, lo - 1, 0)]), np.inf)
@@ -320,20 +355,51 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max:
         frontier = np.minimum(left, right).min(axis=1)
         kth = np.full(todo.size, np.inf)
         full = count >= k_max
-        kth[full] = dist[seg[full] + k_max - 1]
+        if full.any():
+            kth[full] = np.partition(dists[full], k_max - 1, axis=1)[:, k_max - 1]
         done = (kth < frontier) | (frontier > slab[todo]) | np.isinf(frontier)
 
-        settled, take, seg = todo[done], np.minimum(count[done], k_max), seg[done]
-        takes[settled] = take
-        col = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
-        picks[np.repeat(settled, take), col] = rows[np.repeat(seg, take) + col]
-        empty = take == 0
-        if empty.any():  # no row inside the radius: leave the fallback to the loop
-            rest.append(settled[empty])
-        todo = todo[~done]
+        if done.any():
+            settled, take = todo[done], np.minimum(count[done], k_max)
+            nearest = _nearest_first(dists[done], found[done], kth[done], k_max)
+            picks[settled, : nearest.shape[1]] = nearest
+            takes[settled] = take
+            rest.append(settled[take == 0])  # no row inside the radius: the loop falls back
+            open_ = ~done
+            todo, lo, hi, count, dists, found = (
+                a[open_] for a in (todo, lo, hi, count, dists, found)
+            )
+        lo_was, hi_was = lo, hi
         limit = np.minimum(slab[todo], _MAX_RADIUS)
         radius[todo] = np.where(radius[todo] < limit, radius[todo], np.inf) * 2.0
-    return picks, takes, np.concatenate(rest) if rest else np.empty(0, dtype=np.intp)
+    return picks, takes, np.concatenate(rest)
+
+
+def _nearest_first(dists, found, kth, k_max: int) -> np.ndarray:
+    """Per row of ``dists`` (inf-padded) and ``found``, the indices of the
+    min(k_max, count) nearest in (distance, index) order, given ``kth``,
+    the row's k-th distance (inf for fewer than k_max).  One partial
+    selection keeps k_max places and one sort orders them; rows where two
+    kept distances are equal, or more than k_max lie at or below ``kth``,
+    are ordered by distance, then index, from every entry at or below
+    ``kth``."""
+    s, width = dists.shape
+    if width > k_max:
+        near = np.argpartition(dists, k_max - 1, axis=1)[:, :k_max]
+    else:
+        near = np.broadcast_to(np.arange(width), dists.shape)
+    near = near + np.arange(s)[:, None] * width
+    ranked = np.argsort(dists.ravel()[near], axis=1) + np.arange(s)[:, None] * near.shape[1]
+    near = near.ravel()[ranked]
+    d, r = dists.ravel()[near], found.ravel()[near]
+    tied = ((d[:, 1:] == d[:, :-1]) & (d[:, 1:] < np.inf)).any(axis=1)
+    if width > k_max:
+        tied |= (dists <= kth[:, None]).sum(axis=1) > k_max
+    if tied.any():
+        exact = np.where(dists[tied] <= kth[tied, None], dists[tied], np.inf)
+        by_index = np.lexsort((found[tied], exact), axis=1)[:, : r.shape[1]]
+        r[tied] = np.take_along_axis(found[tied], by_index, 1)
+    return r
 
 
 def _average_picks(values, picks, takes, ks, out) -> None:
@@ -367,12 +433,13 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
     A finite-eta search computes each query chunk's q.x block with one
     matrix product, O(N D) per query, into one scratch buffer, and takes
     every radius test and Euclidean fallback from it.  Then:
-    - with max(ks) * _INDEX_ROWS_PER_K <= N, the sorted-offset index walk
-      (``_indexed_picks``) costs O(J log N) per doubling of its windows plus
-      the rows in them: on the perfbench helix about 3 rows per query for
-      k = 1 and 80 for k = 32.  A query with no row inside the radius, or
-      whose windows would hold more than N / _INDEX_WINDOW_DIVISOR rows,
-      is left to the loop;
+    - with 16 max(ks) < N, the sorted-offset index walk (``_indexed_picks``)
+      costs O(J log N) per doubling of its windows, plus a radius test and
+      a proxy distance for each row that enters them, plus one partial
+      selection per doubling and one sort of the k nearest: on the
+      perfbench helix about 23 rows per walked query for k = 1, 125 for
+      k = 32 and 1000 for k = 323.  A query with no row inside the radius, or whose
+      windows would hold more than ``_walk_rows`` rows, is left to the loop;
     - otherwise the radius-first loop tests all N rows of each query, O(N),
       and ranks the in-radius ones.
     Both pick the same rows from the same bits.  With eta infinite, proxy
@@ -383,7 +450,7 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
     width = min(k_max, n)
     out = np.empty((len(ks), queries.shape[0]))
     clipped = proxy is not None and not math.isinf(eta)
-    indexed = clipped and k_max * _INDEX_ROWS_PER_K <= n
+    bound = _walk_rows(k_max, n) if clipped else 0
     cand_sq = np.einsum("nd,nd->n", train_x, train_x) if proxy is None or clipped else None
     scratch = None
     for start, stop in _query_chunks(queries.shape[0], n):
@@ -396,10 +463,10 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
             q_sq = np.einsum("md,md->m", block, block)
             proj = block @ proxy.vectors.T
             # the walk reads q.x as it is; only the loop's rows are expanded
-            if indexed:
+            if bound:
                 slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d)
                 picks, takes, rest = _indexed_picks(
-                    proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab
+                    proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
                 )
                 inside = [~(_expanded_sq(gram[i], q_sq[i], cand_sq) > eta * eta) for i in rest]
             else:
@@ -494,6 +561,22 @@ def two_thirds_k(n_train: int) -> int:
     return max(1, math.ceil(0.5 * n_train ** (2.0 / 3.0)))
 
 
+def mean_score(values) -> float:
+    """``float(np.mean(values))`` for validation errors; a mean that
+    overflows raises ``DataError`` instead of scoring inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(np.mean(values))
+    if not math.isfinite(score):
+        raise DataError("validation error overflows: responses too large in magnitude")
+    return score
+
+
+def fold_mse(preds, truth) -> float:
+    """The mean squared error of one validation fold, by ``mean_score``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean_score((preds - truth) ** 2)
+
+
 def count_grid(values, name: str) -> list[int]:
     """One count, or a non-empty list, tuple, range or 1-d array of them, as
     a list of ints; each entry must pass ``check_count``."""
@@ -524,7 +607,8 @@ def cross_validate(
     the first pair in grid order with the lowest mean validation MSE, so
     ties go to the earlier k, then the earlier J.  An infeasible (J, fold)
     is recorded in ``skipped`` once per k and excluded from scoring; a pair
-    whose folds all fail scores None.
+    whose folds all fail scores None.  A score that overflows raises
+    ``DataError``.
     """
     j_grid = count_grid(j_grid, "J")
     folds = check_folds(folds)
@@ -552,10 +636,10 @@ def cross_validate(
                 failed.append((j_count, f, str(exc)))
                 continue
             for ki, preds in enumerate(predict_many(model, val_x, fold_ks)):
-                mses[ki][ji].append(float(np.mean((preds - val_y) ** 2)))
+                mses[ki][ji].append(fold_mse(preds, val_y))
 
     grid = tuple((j, k) for k in grid_ks for j in j_grid)
-    scores = tuple(float(np.mean(m)) if m else None for row in mses for m in row)
+    scores = tuple(mean_score(m) if m else None for row in mses for m in row)
     skipped = tuple(
         {"J": j, "k": k, "fold": f, "reason": reason} for k in grid_ks for j, f, reason in failed
     )

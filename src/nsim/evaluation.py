@@ -27,8 +27,10 @@ from .estimator import (
     cross_validate,
     eta_to_json,
     fit,
+    fold_mse,
     fold_splits,
     linreg_predict,
+    mean_score,
     predict_many,
     two_thirds_k,
 )
@@ -454,11 +456,11 @@ def real_benchmark(
 def _knn_cv(train: Dataset, k_grid, folds: int, seed: int) -> int:
     """The k in ``k_grid`` with the lowest mean validation MSE; the first
     such k on ties.  Each fold ranks its validation rows once, for the
-    whole grid."""
+    whole grid.  A score that overflows raises ``DataError``."""
     mses = [[] for _ in k_grid]
     for train_idx, val_idx in fold_splits(train.n, folds, seed):
         val_x, val_y = train.features[val_idx], train.responses[val_idx]
         for i, preds in enumerate(baseline_knn_many(train.subset(train_idx), val_x, k_grid)):
-            mses[i].append(float(np.mean((preds - val_y) ** 2)))
-    best = min(range(len(k_grid)), key=lambda i: float(np.mean(mses[i])))
+            mses[i].append(fold_mse(preds, val_y))
+    best = min(range(len(k_grid)), key=lambda i: mean_score(mses[i]))
     return k_grid[best]

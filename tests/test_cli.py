@@ -686,3 +686,52 @@ class TestBenchmarkCommand:
         )
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+_HUGE_FEATURES = np.random.default_rng(0).normal(size=(300, 3))
+
+
+@st.composite
+def near_float_max_problems(draw):
+    """Features and responses each scaled by up to 1e306, the responses a
+    linear link of the first feature plus an offset."""
+    n = draw(st.integers(12, 300))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 1e150, 1e306]))
+    slope = draw(st.sampled_from([0.0, 1.0, 1e150, 1e306]))
+    offset = draw(st.sampled_from([0.0, 5e306]))
+    y = slope * (x[:, 0] / np.abs(x[:, 0]).max()) + offset + rng.normal(size=n)
+    return x, y
+
+
+def write_csv_with_header(path, names, columns):
+    write_matrix_csv(path, np.column_stack(columns))
+    path.write_text(",".join(names) + "\n" + path.read_text())
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=near_float_max_problems(), eta=st.sampled_from([0.5, math.inf]))
+# cross-validation squared errors of responses near 1e306 overflow
+@example(problem=(_HUGE_FEATURES, 1e306 * _HUGE_FEATURES[:, 0] + 5e306), eta=math.inf)
+def test_commands_near_float_max_exit_with_a_code(tmp_path_factory, problem, eta):
+    x, y = problem
+    tmp = tmp_path_factory.mktemp("huge")
+    data, queries = tmp / "d.csv", tmp / "q.csv"
+    names = [f"x{i}" for i in range(x.shape[1])]
+    write_csv_with_header(data, names + ["y"], [x, y])
+    write_csv_with_header(queries, names, [x[:20]])
+    commands = [
+        ["fit", "--data", data, "--J", 2, "--k", 4, "--eta", eta, "--out", tmp / "m.json"],
+        ["predict", "--model", tmp / "m.json", "--data", queries, "--out", tmp / "p.csv"],
+        ["cv", "--data", data, "--j-grid", "1,2", "--k", 4, "--eta", eta, "--seed", 1,
+         "--out", tmp / "cv.json"],
+        ["benchmark", "--data", data, "--repetitions", 1, "--j-grid", "1,2", "--k-grid", "1,4",
+         "--eta", eta, "--seed", 1, "--out-json", tmp / "b.json"],
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(part) for part in command])  # an uncaught error fails the test
+        assert code in (0, 1, 2, 3), command
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command

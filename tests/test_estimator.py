@@ -315,7 +315,7 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
 def walk_the_index():
     """Send every finite-eta search through the sorted-offset index, and
     let no query leave it for the radius-first loop on window size."""
-    return mock.patch.multiple(estimator, _INDEX_ROWS_PER_K=0, _INDEX_WINDOW_DIVISOR=1)
+    return mock.patch.object(estimator, "_walk_rows", lambda k_max, n: n)
 
 
 @given(averaging_problems())

@@ -49,12 +49,12 @@ def radius_first_means(queries, train_x, values, ks, vectors, assignment, eta):
     return out
 
 
-def indexed_means(queries, train_x, values, ks, index, eta, divisor=1):
-    """``_neighbour_means`` with the index forced on; ``divisor`` 1 lets no
-    query leave the walk for the loop."""
+def indexed_means(queries, train_x, values, ks, index, eta, bound=None):
+    """``_neighbour_means`` with the index forced on; a query leaves the walk
+    for the loop once its windows would hold more than ``bound`` rows (None:
+    no query leaves)."""
     with (
-        mock.patch.object(estimator, "_INDEX_ROWS_PER_K", 0),
-        mock.patch.object(estimator, "_INDEX_WINDOW_DIVISOR", divisor),
+        mock.patch.object(estimator, "_walk_rows", lambda k_max, n: bound or n),
         mock.patch.object(
             estimator, "_indexed_picks", wraps=estimator._indexed_picks
         ) as walk,
@@ -90,7 +90,8 @@ def shifted_helix_problems(draw):
     up to 1e6 per feature, and a fitted model.  The queries lie on the tube,
     off it (radius 0.6 and 1.0) and far from it, so short-of-k queries and
     Euclidean fallbacks occur, and within 2 eta of training rows, where the
-    expanded radius test rounds either way."""
+    expanded radius test rounds either way.  The k grids reach N / 8 and
+    N / 2, so windows outgrow a bound of 32 rows and queries leave the walk."""
     d = draw(st.integers(4, 8))
     n_base = draw(st.integers(30, 130))
     seed = draw(st.integers(0, 2**16))
@@ -111,20 +112,20 @@ def shifted_helix_problems(draw):
         model = fit(shifted, j_count, 1, eta, "equiblock")
     except InfeasibleFitError:
         model = fit(shifted, 1, 1, eta)
-    ks = draw(st.sampled_from([[1], [1, 4, 32]]))
+    ks = draw(st.sampled_from([[1], [1, 4, 32], [1, train.n // 8], [train.n // 2, 3]]))
     budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
-    divisor = draw(st.sampled_from([1, 32]))
-    return model, queries + shift, ks, budget, divisor
+    bound = draw(st.sampled_from([None, 32]))
+    return model, queries + shift, ks, budget, bound
 
 
 @given(shifted_helix_problems())
 @settings(max_examples=150, deadline=None)
 def test_index_matches_radius_first_loop_bit_for_bit(problem):
-    model, queries, ks, budget, divisor = problem
+    model, queries, ks, budget, bound = problem
     train = model.train
     with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
         got = indexed_means(
-            queries, train.features, train.responses, ks, model.proxy_index, model.eta, divisor
+            queries, train.features, train.responses, ks, model.proxy_index, model.eta, bound
         )
         want = radius_first_means(
             queries, train.features, train.responses, ks,
@@ -169,6 +170,40 @@ def test_index_matches_radius_first_loop_on_decimal_grids(problem):
     index = ProxyIndex(x, vectors, assignment)
     got = indexed_means(queries, x, values, [k], index, eta)
     want = radius_first_means(queries, x, values, [k], vectors, assignment, eta)
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def tied_grid_problems(draw):
+    """Rows on a decimal grid of a few values, each repeated, so that several
+    rows often tie at the k-th distance; k runs up to the row count, so it
+    often falls inside a tie and only part of it can be picked."""
+    d = draw(st.integers(1, 2))
+    levels = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(2, 40))
+    x = np.array(draw(st.lists(
+        st.lists(st.sampled_from(levels), min_size=d, max_size=d), min_size=n, max_size=n
+    ))) * 0.1
+    vectors = np.eye(d)[: draw(st.integers(1, d))] * draw(st.sampled_from([-1.0, 1.0]))
+    assignment = np.array(draw(st.lists(st.integers(0, len(vectors) - 1), min_size=n, max_size=n)))
+    queries = np.array(draw(st.lists(
+        st.lists(st.integers(-8, 8), min_size=d, max_size=d), min_size=1, max_size=4
+    ))) * 0.05
+    return x, vectors, assignment, queries, draw(st.integers(1, 20)) * 0.1, draw(st.integers(1, n))
+
+
+@given(tied_grid_problems())
+# five rows tie at the 3rd distance (0.3): the walk may keep only two of them,
+# the lowest indices, as the loop does
+@example(pinned([[3], [-3], [1], [3], [-3], [3]], [[1.0]], [0] * 6, [[0]], 20, 3))
+@settings(max_examples=300, deadline=None)
+def test_index_keeps_the_lowest_indices_of_a_tie_at_the_kth_distance(problem):
+    x, vectors, assignment, queries, eta, k = problem
+    values = 2.0 ** np.arange(len(x))  # distinct picks give distinct sums
+    index = ProxyIndex(x, vectors, assignment)
+    ks = list(range(1, k + 1))  # every prefix of the ranking, so its order counts too
+    got = indexed_means(queries, x, values, ks, index, eta)
+    want = radius_first_means(queries, x, values, ks, vectors, assignment, eta)
     assert np.array_equal(got, want)
 
 
@@ -219,9 +254,10 @@ def test_slab_bound_near_the_row_norm_bound_is_finite_without_warnings():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("k, n, indexed", [(1, 127, False), (1, 128, True), (32, 4096, True),
-                                           (33, 4096, False)])
-def test_index_runs_from_max_k_times_rows_per_k_up_to_n(k, n, indexed):
+@pytest.mark.parametrize("k, n, indexed", [(1, 16, False), (1, 17, True), (32, 512, False),
+                                           (32, 513, True), (323, 16384, True),
+                                           (1024, 16384, False)])
+def test_index_runs_while_first_windows_are_narrower_than_eta(k, n, indexed):
     rng = np.random.default_rng(0)
     train_x = rng.standard_normal((n, 3))
     index = ProxyIndex(train_x, np.eye(3)[:1], np.zeros(n, dtype=np.intp))
@@ -229,3 +265,27 @@ def test_index_runs_from_max_k_times_rows_per_k_up_to_n(k, n, indexed):
         estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, 0.5)
         estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, math.inf)
     assert walk.call_count == int(indexed)
+
+
+@pytest.mark.parametrize("k, n, rows", [(1, 17, 4), (1, 8192, 256), (32, 4096, 128),
+                                        (100, 16384, 512), (323, 16384, 1292),
+                                        (1023, 16384, 4092)])
+def test_walk_bound_is_n_over_32_or_4_rows_per_neighbour(k, n, rows):
+    assert estimator._walk_rows(k, n) == rows
+
+
+def test_queries_whose_windows_outgrow_the_bound_leave_the_walk():
+    """Rows on a line, one query on it and one beside it with no row in its
+    radius: with room for 8 rows both leave the walk, with room for all 64
+    only the one with no row inside the radius does (for the fallback)."""
+    x = np.column_stack((np.arange(64) * 0.01, np.zeros(64)))
+    index = ProxyIndex(x, np.array([[1.0, 0.0]]), np.zeros(64, dtype=np.intp))
+    queries = np.array([[0.3, 0.0], [0.3, 5.0]])
+    gram = queries @ x.T
+    q_sq = np.einsum("md,md->m", queries, queries)
+    c_sq = np.einsum("nd,nd->n", x, x)
+    proj = queries @ index.vectors.T
+    slab = estimator._slab(index, 0.2, q_sq, float(c_sq.max()), 2)
+    for bound, left in ((8, [0, 1]), (64, [1])):
+        _, _, rest = estimator._indexed_picks(index, gram, q_sq, c_sq, proj, 0.2, 16, slab, bound)
+        assert sorted(rest) == left
