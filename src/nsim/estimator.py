@@ -430,70 +430,60 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
     k rows of that ranking (``_average_picks``; a prefix sum would differ in
     the last bits).  A non-finite average raises ``DataError``.
 
-    A finite-eta search computes each query chunk's q.x block with one
-    matrix product, O(N D) per query, into one scratch buffer, and takes
-    every radius test and Euclidean fallback from it.  Then:
-    - with 16 max(ks) < N, the sorted-offset index walk (``_indexed_picks``)
-      costs O(J log N) per doubling of its windows, plus a radius test and
-      a proxy distance for each row that enters them, plus one partial
-      selection per doubling and one sort of the k nearest: on the
-      perfbench helix about 23 rows per walked query for k = 1, 125 for
-      k = 32 and 1000 for k = 323.  A query with no row inside the radius, or whose
-      windows would hold more than ``_walk_rows`` rows, is left to the loop;
-    - otherwise the radius-first loop tests all N rows of each query, O(N),
-      and ranks the in-radius ones.
-    Both pick the same rows from the same bits.  With eta infinite, proxy
-    distances and selection cover all N rows, O(N) per query.
+    A search that reads Euclidean distances (no ``proxy``, or a finite eta)
+    computes each query chunk's q.x block once, O(N D) per query, into one
+    scratch buffer.  With a finite eta and 16 max(ks) < N, the sorted-offset
+    index walk (``_indexed_picks``) costs O(J log N) per doubling of its
+    windows, plus a radius test and a proxy distance for each row that
+    enters them, plus one partial selection per doubling and one sort of
+    the k nearest: on the perfbench helix about 23 rows per walked query
+    for k = 1, 125 for k = 32 and 1000 for k = 323.  One loop ranks every
+    query the walk does not settle, O(N) each, by ``_smallest`` over one
+    row of distances: the expanded Euclidean row, whose in-radius rows it
+    ranks by proxy distance at a finite eta (with none, it takes the
+    Euclidean-nearest), or at eta infinite the proxy distances to all N
+    rows.  The walk and the loop pick the same rows from the same bits.
     """
     n, d = train_x.shape
     k_max = max(ks)
-    width = min(k_max, n)
     out = np.empty((len(ks), queries.shape[0]))
     clipped = proxy is not None and not math.isinf(eta)
+    euclidean = proxy is None or clipped
     bound = _walk_rows(k_max, n) if clipped else 0
-    cand_sq = np.einsum("nd,nd->n", train_x, train_x) if proxy is None or clipped else None
+    cand_sq = np.einsum("nd,nd->n", train_x, train_x) if euclidean else None
     scratch = None
     for start, stop in _query_chunks(queries.shape[0], n):
         block = queries[start:stop]
         m = stop - start
-        if clipped:
+        if proxy is not None:
+            proj = block @ proxy.vectors.T
+        if euclidean:
             if scratch is None:
                 scratch = np.empty((m, n))
             gram = np.matmul(block, train_x.T, out=scratch[:m])
             q_sq = np.einsum("md,md->m", block, block)
-            proj = block @ proxy.vectors.T
-            # the walk reads q.x as it is; only the loop's rows are expanded
-            if bound:
-                slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d)
-                picks, takes, rest = _indexed_picks(
-                    proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
-                )
-                inside = [~(_expanded_sq(gram[i], q_sq[i], cand_sq) > eta * eta) for i in rest]
-            else:
-                picks = np.empty((m, width), dtype=np.intp)
-                takes = np.empty(m, dtype=np.intp)
-                rest = range(m)
-                inside = ~(_expanded_sq(gram, q_sq[:, None], cand_sq) > eta * eta)
-            for i, row_inside in zip(rest, inside):
-                cand = np.flatnonzero(row_inside)  # ascending index order
-                if cand.size == 0:
-                    chosen = np.argmin(gram[i], keepdims=True)
-                else:
-                    dist = np.abs(proj[i][proxy.assignment[cand]] - proxy.offsets[cand])
-                    chosen = cand[_smallest(dist, k_max)]
-                picks[i, : chosen.size] = chosen
-                takes[i] = chosen.size
+        if bound:
+            # the walk reads q.x as it is; only the rows it leaves are expanded
+            slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d)
+            picks, takes, rest = _indexed_picks(
+                proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
+            )
+            dist = _expanded_sq(gram[rest], q_sq[rest, None], cand_sq)
         else:
-            if proxy is None:
-                q_sq = np.einsum("md,md->m", block, block)
-                dist = _expanded_sq(block @ train_x.T, q_sq[:, None], cand_sq)
-            else:
-                dist = np.abs((block @ proxy.vectors.T)[:, proxy.assignment] - proxy.offsets)
-            picks = np.empty((m, width), dtype=np.intp)
-            for i, row in enumerate(dist):
+            picks = np.empty((m, min(k_max, n)), dtype=np.intp)
+            takes, rest = np.full(m, picks.shape[1]), range(m)
+            dist = (_expanded_sq(gram, q_sq[:, None], cand_sq) if euclidean
+                    else np.abs(proj[:, proxy.assignment] - proxy.offsets))
+        for i, row in zip(rest, dist):
+            if not clipped:
                 picks[i] = _smallest(row, k_max)
-            del dist  # free the distance block before the gathers
-            takes = np.full(m, width)
+                continue
+            cand = np.flatnonzero(~(row > eta * eta))  # ascending index order
+            near = np.abs(proj[i][proxy.assignment[cand]] - proxy.offsets[cand])
+            chosen = cand[_smallest(near, k_max)] if cand.size else _smallest(row, 1)
+            picks[i, : chosen.size] = chosen
+            takes[i] = chosen.size
+        del dist  # free the distance block before the gathers
         _average_picks(values, picks, takes, ks, out[:, start:stop])
     if not np.isfinite(out).all():
         raise DataError("non-finite neighbour average: responses too large in magnitude")
@@ -734,11 +724,13 @@ def model_to_dict(model: FittedNsim) -> dict:
 
 
 def _whole_numbers(values, name: str) -> np.ndarray:
-    """``values`` as an integer array; a fraction or a non-finite entry
-    raises ``DataError`` instead of being truncated."""
+    """``values`` as an integer array; a fraction, a non-finite entry or one
+    past the ``intp`` range raises ``DataError`` instead of being truncated
+    or wrapped by the cast."""
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
-        raise DataError(f"model {name} must hold whole numbers")
+    limit = float(np.iinfo(np.intp).max)  # 2^63 - 1 rounds up to 2^63
+    if not np.all((arr == np.trunc(arr)) & (np.abs(arr) < limit)):
+        raise DataError(f"model {name} must hold whole numbers below {limit:.3g} in magnitude")
     return arr.astype(np.intp)
 
 
@@ -757,9 +749,11 @@ def model_from_dict(doc: dict) -> FittedNsim:
     key, intervals that are reversed or not contiguous, a tangent matrix
     that is not J x D or has a row off unit norm by more than 1e-9, level
     means or counts not sized for J level sets, an assignment that does not
-    give every training row a level set in [0, J), a fraction where k, the
-    counts or the assignment need whole numbers, k < 1, eta <= 0, or a
-    ``partition_kind`` or ``algorithm`` that is not one of the known names.
+    give every training row a level set in [0, J), a fraction or a number
+    past the ``intp`` range where k, the counts or the assignment need whole
+    numbers, k < 1, eta <= 0, a JSON boolean for k or eta, an interval whose
+    closed flag is not a boolean, or a ``partition_kind`` or ``algorithm``
+    that is not one of the known names.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
@@ -768,10 +762,11 @@ def model_from_dict(doc: dict) -> FittedNsim:
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise DataError(f"model document lacks {', '.join(missing)}")
+    if isinstance(doc["k"], bool) or isinstance(doc["eta"], bool):
+        raise DataError("model k and eta must be numbers, not booleans")
     try:
         intervals = tuple(
-            ResponseInterval(float(lo), float(hi), bool(closed))
-            for lo, hi, closed in doc["intervals"]
+            ResponseInterval(float(lo), float(hi), closed) for lo, hi, closed in doc["intervals"]
         )
         assignment = _whole_numbers(doc["tangent_assignment"], "tangent_assignment")
         tangents = TangentField(
@@ -802,6 +797,8 @@ def model_from_dict(doc: dict) -> FittedNsim:
     if algorithm not in ALGORITHMS:
         raise DataError(f"model algorithm {algorithm!r} is not one of {ALGORITHMS}")
     for j, iv in enumerate(intervals):
+        if not isinstance(iv.closed_upper, bool):
+            raise DataError(f"interval {j} closed flag {iv.closed_upper!r} is not true or false")
         if not iv.lower <= iv.upper:
             raise DataError(f"interval {j} is reversed: [{iv.lower}, {iv.upper}]")
         if j > 0 and iv.lower != intervals[j - 1].upper:
@@ -822,7 +819,8 @@ def model_from_dict(doc: dict) -> FittedNsim:
                 f"{key} of shape {arr.shape} does not fit {j_count} level sets "
                 f"in dimension {train.d}"
             )
-    norms = np.linalg.norm(tangents.vectors, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the test below
+        norms = np.linalg.norm(tangents.vectors, axis=1)
     off_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
     if off_unit.size:
         j = off_unit[0]

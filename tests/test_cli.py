@@ -381,6 +381,14 @@ MODEL_CORRUPTIONS = {
     "counts-short": lambda doc: doc.update(counts=[1]),
     "partition-kind-unknown": lambda doc: doc.update(partition_kind="bogus"),
     "algorithm-unknown": lambda doc: doc.update(algorithm="weird"),
+    # whole numbers past int64 used to wrap in the cast, with a RuntimeWarning
+    "k-past-int64": lambda doc: doc.update(k=2**70),
+    "counts-entry-past-int64": lambda doc: doc["counts"].__setitem__(0, 2**70),
+    "assignment-entry-past-int64": lambda doc: _set_first_assignment(doc, 2**64),
+    "tangent-row-overflowing-norm": lambda doc: _scale_first_tangent(doc, 1e308),
+    "closed-upper-string": lambda doc: doc["intervals"][0].__setitem__(2, "false"),
+    "eta-boolean": lambda doc: doc.update(eta=True),
+    "k-boolean": lambda doc: doc.update(k=True),
 }
 
 
@@ -477,7 +485,7 @@ class TestFitPredictCommands:
         )
         assert proc.returncode == 2, proc.stderr
         assert "nsim: error [data]" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_query_too_large_for_distances_is_a_data_error(
         self, tmp_path, monkeypatch, synth_files, capsys
@@ -735,3 +743,63 @@ def test_commands_near_float_max_exit_with_a_code(tmp_path_factory, problem, eta
             code = main([str(part) for part in command])  # an uncaught error fails the test
         assert code in (0, 1, 2, 3), command
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+
+
+def _fitted_document() -> dict:
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(60, 3))
+    return nsim.model_to_dict(nsim.fit(Dataset(x, x[:, 0] + 0.1 * x[:, 1]), 2, 3, 0.5))
+
+
+def _model_paths(doc) -> list:
+    """Every field of ``doc``, and the first and last entry of each list in
+    it, one and two levels down."""
+    paths = set()
+    for key, value in doc.items():
+        paths.add((key,))
+        for i in (0, -1) if isinstance(value, list) else ():
+            paths.add((key, i))
+            if isinstance(value[i], list):
+                paths.update((key, i, j) for j in (0, -1))
+    return sorted(paths, key=str)
+
+
+_VALID_MODEL = _fitted_document()
+_MODEL_PATHS = _model_paths(_VALID_MODEL)
+_FUZZ_VALUES = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 2**70, "x", "inf", "false",
+                [], [[]], {}]
+
+
+def _replace(doc, path, value):
+    """Set the entry of ``doc`` at ``path`` to ``value``; a path that an
+    earlier replacement removed is left as it is."""
+    *parents, last = path
+    try:
+        for part in parents:
+            doc = doc[part]
+        doc[last] = value
+    except (IndexError, KeyError, TypeError):
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(_MODEL_PATHS), st.sampled_from(_FUZZ_VALUES)), min_size=1, max_size=2
+))
+# a k past int64 used to wrap to a negative number, with a RuntimeWarning
+@example(edits=[(("k",), 2**70)])
+def test_corrupted_model_fields_exit_with_a_code(tmp_path_factory, edits):
+    doc = json.loads(json.dumps(_VALID_MODEL))
+    for path, value in edits:
+        _replace(doc, path, json.loads(json.dumps(value)))  # a fresh copy of a pooled list
+    tmp = tmp_path_factory.mktemp("fuzzed")
+    model = tmp / "m.json"
+    model.write_text(json.dumps(doc))
+    queries = write_csv(tmp / "q.csv", "a,b,c\n0.1,0.2,0.3\n2,-1,0.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # an uncaught error fails the test
+        code = main(["predict", "--model", str(model), "--data", str(queries),
+                     "--out", str(tmp / "p.csv")])
+    assert code in (0, 2), edits
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], edits

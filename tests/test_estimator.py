@@ -744,9 +744,7 @@ class TestSerialization:
         model = fit(dataset, 3, 2, eta=0.5, partition_kind="equiblock")
         restored = model_from_dict(model_to_dict(model))
         queries = np.random.default_rng(6).normal(size=(40, 4))
-        assert np.allclose(
-            predict_many(restored, queries), predict_many(model, queries), atol=1e-12
-        )
+        assert np.array_equal(predict_many(restored, queries), predict_many(model, queries))
 
     def test_round_trip_through_json_text(self):
         dataset, _ = synth(n=80, seed=56)
