@@ -9,6 +9,7 @@ a total function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -159,15 +160,18 @@ def _as_queries(queries, d: int) -> np.ndarray:
 
 _CHUNK_BUDGET = 4_000_000  # floats per (queries x candidates) scratch block
 
-# A finite-eta proxy search walks the sorted-offset index while its first
-# windows, 16 k / N of eta wide, are narrower than eta (16 max(ks) < N), and a
-# query leaves the walk for the loop once its windows would hold more than
-# max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
-# (``_walk_rows``).  Search time over the loop's, by the bound on a query's
-# rows (median of 7 paired ratios; 2 cores, OpenBLAS on one thread; the
-# perfbench helix, D = 12, N = 16384, J = 8, eta = 0.5, 2000 queries in
-# batches of 50, 10% off the tube; "split" is fit_split's k = 1 search on
-# N = 8192, J = 16):
+# A proxy search walks the sorted-offset index while 16 max(ks) < N (at a
+# finite eta, while its first windows, 16 k / N of eta wide, are narrower than
+# eta), and a query leaves the walk for the loop once its windows would hold
+# more than max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
+# (``_walk_rows``).  At eta infinite, where every row is in the radius, the
+# walk took 0.04-0.43 of the loop's time with J = 8 and 0.09-0.25 with
+# J = 364, for k from 1 to 1000 on the helix and on Gaussian features
+# (``rule_table`` in BENCH_6.json).  At a finite eta, search time over the
+# loop's, by the bound on a query's rows (median of 7 paired ratios; 2 cores,
+# OpenBLAS on one thread; the perfbench helix, D = 12, N = 16384, J = 8,
+# eta = 0.5, 2000 queries in batches of 50, 10% off the tube; "split" is
+# fit_split's k = 1 search on N = 8192, J = 16):
 #
 #   bound             split  k=1   k=32  k=64  k=128 k=323 k=1024 k=2048
 #   N/32              0.23   0.65  0.55  0.54  0.56  1.03  0.99   1.02
@@ -240,6 +244,11 @@ class ProxyIndex:
     def vector_norm(self) -> float:
         return float(np.sqrt(np.einsum("jd,jd->j", self.vectors, self.vectors).max()))
 
+    @cached_property
+    def spread(self) -> float:
+        """max c_i - min c_i: the scale of the first windows at eta infinite."""
+        return float(self.offsets.max() - self.offsets.min())
+
 
 def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.ndarray:
     """Per query, a bound on the computed proxy distance of every row that
@@ -260,8 +269,9 @@ def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.nd
 
 def _walk_rows(k_max: int, n: int) -> int:
     """The rows a query's windows may hold before it leaves the
-    sorted-offset walk for the loop; 0 when the walk does not run, because
-    its first windows (16 k / N of eta) would be no narrower than eta."""
+    sorted-offset walk for the loop; 0 when the walk does not run, at
+    16 k >= N (at a finite eta, its first windows, 16 k / N of eta, would
+    be no narrower than eta)."""
     if 16 * k_max >= n:
         return 0
     return max(n // _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * k_max)
@@ -270,34 +280,41 @@ def _walk_rows(k_max: int, n: int) -> int:
 def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max: int, slab,
                    bound: int):
     """(picks, takes, rest): the first ``takes[i]`` entries of ``picks[i]``
-    are the rows the radius-first loop picks for query i, in its order,
-    except for the queries in ``rest``, left to the loop.
+    are the rows the loop picks for query i, in its order, except for the
+    queries in ``rest``, left to the loop.
 
     Per level set j, a query's window holds the rows whose offsets lie in
     [p_j - r, p_j + r], found by ``searchsorted``; the rows that entered it
     take their radius test and proxy distances from ``gram`` (the chunk's
     q.x block) and ``proj`` as the loop does, and the in-radius ones are
-    kept, one row of a block per query.  The query is settled once its k-th
-    in-radius distance lies below every row left out, or every row left
-    out lies beyond its ``slab`` bound and so cannot pass the radius test;
-    until then r doubles and only the rows new to the windows are gathered.
-    Both checks read the nearest left-out row on each side of each window,
-    which no row further out in offset order undercuts, so ties at the k-th
-    place are gathered whole.  A query whose windows would hold more than
+    kept, one row of a block per query.  At eta infinite every row is in
+    the radius: ``gram``, ``q_sq`` and ``c_sq`` are None, ``slab`` is
+    infinite, and the walk is a merge of the J sorted offset lists.  The
+    query is settled once its k-th in-radius distance lies below every row
+    left out, or every row left out lies beyond its ``slab`` bound and so
+    cannot pass the radius test, or the windows hold every row; until then
+    r doubles and only the rows new to the windows are gathered.  Both
+    checks read the nearest left-out row on each side of each window, which
+    no row further out in offset order undercuts, so ties at the k-th place
+    are gathered whole.  A query whose windows would hold more than
     ``bound`` rows joins ``rest``.
     """
-    m, n = gram.shape
-    n_sets = proj.shape[1]
+    m, n_sets = proj.shape
+    n = index.offsets.shape[0]
     order, sorted_off, bounds = index.sorted
     first, last = bounds[:-1], bounds[1:]
-    flat_gram, flat_proj = gram.ravel(), proj.ravel()
-    eta_sq = eta * eta
+    flat_proj = proj.ravel()
     picks = np.zeros((m, min(k_max, n)), dtype=np.intp)
     takes = np.zeros(m, dtype=np.intp)
     rest = [np.empty(0, dtype=np.intp)]
     todo = np.arange(m)
-    # windows start at 16 k / N of eta, a few times k rows for data near a curve
-    radius = np.full(m, min(eta, _MAX_RADIUS) * min(1.0, 16.0 * k_max / n))
+    if math.isinf(eta):  # windows that would hold about k rows were the offsets spread evenly
+        start = index.spread * k_max / (2 * n)
+    else:  # 16 k / N of eta, a few times k rows for data near a curve
+        start = min(eta, _MAX_RADIUS) * min(1.0, 16.0 * k_max / n)
+    # a width of 0 (equal offsets, or a product that rounds to 0) would never
+    # grow by doubling: one window then holds every row
+    radius = np.full(m, start if start > 0 else np.inf)
     lo_was = hi_was = None  # the windows of the round before
     # per query in todo: its in-radius rows so far, their distances (inf
     # past the count) and indices
@@ -329,10 +346,13 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max:
         ends = np.cumsum(lengths)
         rows = order[np.arange(ends[-1]) + np.repeat(run_lo.ravel() - (ends - lengths), lengths)]
         fresh = run_len.sum(axis=1)
-        at = np.repeat(todo * n, fresh) + rows
-        inside = ~(_expanded_sq(flat_gram[at], np.repeat(q_sq[todo], fresh), c_sq[rows]) > eta_sq)
-        rows = rows[inside]
-        passed = np.concatenate(([0], np.cumsum(inside)))[np.cumsum(fresh)]
+        passed = np.cumsum(fresh)
+        if gram is not None:  # the radius test, as the loop takes it
+            at = np.repeat(todo * n, fresh) + rows
+            inside = ~(_expanded_sq(gram.ravel()[at], np.repeat(q_sq[todo], fresh), c_sq[rows])
+                       > eta * eta)
+            rows = rows[inside]
+            passed = np.concatenate(([0], np.cumsum(inside)))[passed]
         added = passed - np.concatenate(([0], passed[:-1]))
         at = np.repeat(todo * n_sets, added) + index.assignment[rows]
         dist = np.abs(flat_proj[at] - index.offsets[rows])
@@ -432,15 +452,18 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
 
     A search that reads Euclidean distances (no ``proxy``, or a finite eta)
     computes each query chunk's q.x block once, O(N D) per query, into one
-    scratch buffer.  With a finite eta and 16 max(ks) < N, the sorted-offset
-    index walk (``_indexed_picks``) costs O(J log N) per doubling of its
-    windows, plus a radius test and a proxy distance for each row that
+    scratch buffer; a proxy search at eta infinite computes none.  With a
+    ``proxy`` and 16 max(ks) < N, the sorted-offset index walk
+    (``_indexed_picks``) costs O(J log N) per doubling of its windows, plus
+    a proxy distance (and at a finite eta a radius test) for each row that
     enters them, plus one partial selection per doubling and one sort of
-    the k nearest: on the perfbench helix about 23 rows per walked query
-    for k = 1, 125 for k = 32 and 1000 for k = 323.  One loop ranks every
-    query the walk does not settle, O(N) each, by ``_smallest`` over one
-    row of distances: the expanded Euclidean row, whose in-radius rows it
-    ranks by proxy distance at a finite eta (with none, it takes the
+    the k nearest: on the perfbench helix at eta = 0.5 about 23 rows per
+    walked query for k = 1, 125 for k = 32 and 1000 for k = 323.  At eta
+    infinite it is a merge of the J sorted offset lists, O(J log N + k) per
+    query when the offsets are spread evenly.  One loop ranks every query
+    the walk does not settle, O(N) each, by ``_smallest`` over one row of
+    distances: the expanded Euclidean row, whose in-radius rows it ranks by
+    proxy distance at a finite eta (with none, it takes the
     Euclidean-nearest), or at eta infinite the proxy distances to all N
     rows.  The walk and the loop pick the same rows from the same bits.
     """
@@ -449,9 +472,9 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
     out = np.empty((len(ks), queries.shape[0]))
     clipped = proxy is not None and not math.isinf(eta)
     euclidean = proxy is None or clipped
-    bound = _walk_rows(k_max, n) if clipped else 0
+    bound = _walk_rows(k_max, n) if proxy is not None else 0
     cand_sq = np.einsum("nd,nd->n", train_x, train_x) if euclidean else None
-    scratch = None
+    scratch = gram = q_sq = None
     for start, stop in _query_chunks(queries.shape[0], n):
         block = queries[start:stop]
         m = stop - start
@@ -463,24 +486,23 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
             gram = np.matmul(block, train_x.T, out=scratch[:m])
             q_sq = np.einsum("md,md->m", block, block)
         if bound:
-            # the walk reads q.x as it is; only the rows it leaves are expanded
-            slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d)
+            # at a finite eta the walk reads q.x as it is; only the rows it leaves are expanded
+            slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d) if clipped else np.full(m, eta)
             picks, takes, rest = _indexed_picks(
                 proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
             )
-            dist = _expanded_sq(gram[rest], q_sq[rest, None], cand_sq)
         else:
             picks = np.empty((m, min(k_max, n)), dtype=np.intp)
-            takes, rest = np.full(m, picks.shape[1]), range(m)
-            dist = (_expanded_sq(gram, q_sq[:, None], cand_sq) if euclidean
-                    else np.abs(proj[:, proxy.assignment] - proxy.offsets))
-        for i, row in zip(rest, dist):
-            if not clipped:
-                picks[i] = _smallest(row, k_max)
-                continue
-            cand = np.flatnonzero(~(row > eta * eta))  # ascending index order
-            near = np.abs(proj[i][proxy.assignment[cand]] - proxy.offsets[cand])
-            chosen = cand[_smallest(near, k_max)] if cand.size else _smallest(row, 1)
+            takes, rest = np.empty(m, dtype=np.intp), slice(None)  # a view: expanded in place
+        dist = (_expanded_sq(gram[rest], q_sq[rest, None], cand_sq) if euclidean
+                else np.abs(proj[rest][:, proxy.assignment] - proxy.offsets))
+        for i, row in zip(np.arange(m)[rest], dist):
+            if clipped:
+                cand = np.flatnonzero(~(row > eta * eta))  # ascending index order
+                near = np.abs(proj[i][proxy.assignment[cand]] - proxy.offsets[cand])
+                chosen = cand[_smallest(near, k_max)] if cand.size else _smallest(row, 1)
+            else:
+                chosen = _smallest(row, k_max)
             picks[i, : chosen.size] = chosen
             takes[i] = chosen.size
         del dist  # free the distance block before the gathers
@@ -738,6 +760,19 @@ _MODEL_KEYS = (
     "partition_kind", "intervals", "tangents", "level_means_x", "level_means_y", "counts",
     "tangent_assignment", "train_features", "train_responses", "k", "eta",
 )
+_NUMBER_KEYS = (
+    "version", "k", "eta", "tangents", "level_means_x", "level_means_y", "counts",
+    "tangent_assignment", "train_features", "train_responses",
+)
+
+
+def _holds_boolean(value) -> bool:
+    """Whether ``value``, one of its entries or an entry of one of them is a
+    JSON boolean, which a float or integer cast would read as 0 or 1."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    nested = [entry for entry in value if isinstance(entry, list)]
+    return bool in map(type, itertools.chain(value, *nested))
 
 
 def model_from_dict(doc: dict) -> FittedNsim:
@@ -751,9 +786,12 @@ def model_from_dict(doc: dict) -> FittedNsim:
     means or counts not sized for J level sets, an assignment that does not
     give every training row a level set in [0, J), a fraction or a number
     past the ``intp`` range where k, the counts or the assignment need whole
-    numbers, k < 1, eta <= 0, a JSON boolean for k or eta, an interval whose
-    closed flag is not a boolean, or a ``partition_kind`` or ``algorithm``
-    that is not one of the known names.
+    numbers, k < 1, eta <= 0, a JSON boolean where a number belongs (the
+    version, k, eta, an interval bound or an entry of a number list), an
+    interval whose closed flag is not a boolean, or a ``partition_kind`` or
+    ``algorithm`` that is not one of the known names.  Its own checks raise
+    their ``DataError`` as it is; a type the casts reject is reported as a
+    malformed document.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
@@ -762,9 +800,12 @@ def model_from_dict(doc: dict) -> FittedNsim:
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise DataError(f"model document lacks {', '.join(missing)}")
-    if isinstance(doc["k"], bool) or isinstance(doc["eta"], bool):
-        raise DataError("model k and eta must be numbers, not booleans")
     try:
+        numbers = {key: doc[key] for key in _NUMBER_KEYS}
+        numbers["intervals"] = [interval[:2] for interval in doc["intervals"]]
+        for key, value in numbers.items():  # one scan of every number entry
+            if _holds_boolean(value):
+                raise DataError(f"model {key} holds a JSON boolean where a number belongs")
         intervals = tuple(
             ResponseInterval(float(lo), float(hi), closed) for lo, hi, closed in doc["intervals"]
         )
@@ -781,6 +822,8 @@ def model_from_dict(doc: dict) -> FittedNsim:
         )
         k = _whole_numbers(doc["k"], "k")
         eta = _eta_from_json(doc["eta"])
+    except DataError:
+        raise
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
     if k.shape != ():

@@ -389,6 +389,12 @@ MODEL_CORRUPTIONS = {
     "closed-upper-string": lambda doc: doc["intervals"][0].__setitem__(2, "false"),
     "eta-boolean": lambda doc: doc.update(eta=True),
     "k-boolean": lambda doc: doc.update(k=True),
+    # JSON booleans used to load as 0 or 1 where numbers belong
+    "version-boolean": lambda doc: doc.update(version=True),
+    "responses-entry-boolean": lambda doc: doc["train_responses"].__setitem__(0, True),
+    "features-entry-boolean": lambda doc: doc["train_features"][0].__setitem__(0, False),
+    "assignment-entry-boolean": lambda doc: _set_first_assignment(doc, True),
+    "interval-bound-boolean": lambda doc: doc["intervals"][0].__setitem__(0, False),
 }
 
 
@@ -486,6 +492,27 @@ class TestFitPredictCommands:
         assert proc.returncode == 2, proc.stderr
         assert "nsim: error [data]" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [("k", 1.5), ("counts", [1.5, 2.0])])
+    def test_model_check_reports_its_own_message_once(
+        self, tmp_path, monkeypatch, synth_files, field, value
+    ):
+        data, _ = synth_files
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "fit", "--data", data, "--J", 2, "--k", 3, "--eta", 0.5,
+            "--out", model, monkeypatch=monkeypatch,
+        ) == 0
+        doc = json.loads(model.read_text())
+        doc[field] = value
+        model.write_text(json.dumps(doc))
+        queries = write_csv(tmp_path / "q.csv", "a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        proc = run_module(
+            "predict", "--model", model, "--data", queries, "--out", tmp_path / "p.csv"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"nsim: error [data] model {field} must hold whole numbers")
+        assert "malformed" not in proc.stderr
 
     def test_query_too_large_for_distances_is_a_data_error(
         self, tmp_path, monkeypatch, synth_files, capsys

@@ -313,8 +313,9 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
 
 
 def walk_the_index():
-    """Send every finite-eta search through the sorted-offset index, and
-    let no query leave it for the radius-first loop on window size."""
+    """Send every proxy search, at a finite eta or at eta infinite, through
+    the sorted-offset index, and let no query leave it for the loop on
+    window size."""
     return mock.patch.object(estimator, "_walk_rows", lambda k_max, n: n)
 
 

@@ -1,11 +1,12 @@
 """The sorted-offset index against the radius-first loop it replaces.
 
-``radius_first_means`` restates the loop that every finite-eta search ran
-before the index: per query chunk the expanded Euclidean block, then per
-query the in-radius rows in index order, their proxy distances, and the
-first max(ks) of them in (distance, index) order.  The index must pick the
-same rows from the same bits, so its averages must equal the loop's bit for
-bit, on float data far from the origin, with queries off the tube.
+``radius_first_means`` restates the loop that every proxy search ran before
+the index: per query chunk the expanded Euclidean block, then per query the
+in-radius rows in index order (every row at eta infinite), their proxy
+distances, and the first max(ks) of them in (distance, index) order.  The
+index must pick the same rows from the same bits, so its averages must
+equal the loop's bit for bit, on float data far from the origin, with
+queries off the tube.
 """
 
 import math
@@ -90,15 +91,16 @@ def shifted_helix_problems(draw):
     up to 1e6 per feature, and a fitted model.  The queries lie on the tube,
     off it (radius 0.6 and 1.0) and far from it, so short-of-k queries and
     Euclidean fallbacks occur, and within 2 eta of training rows, where the
-    expanded radius test rounds either way.  The k grids reach N / 8 and
-    N / 2, so windows outgrow a bound of 32 rows and queries leave the walk."""
+    expanded radius test rounds either way (at eta infinite, within 2 of
+    them).  The k grids reach N / 8 and N / 2, so windows outgrow a bound of
+    32 rows and queries leave the walk."""
     d = draw(st.integers(4, 8))
     n_base = draw(st.integers(30, 130))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.uniform(-1.0, 1.0, d)
-    eta = draw(st.sampled_from([0.01, 0.5]))
-    train, near = clustered_helix(d, n_base, seed, eta)
+    eta = draw(st.sampled_from([0.01, 0.5, math.inf]))
+    train, near = clustered_helix(d, n_base, seed, min(eta, 1.0))
     queries = np.vstack([
         near[: draw(st.integers(0, 30))],
         helix(d, draw(st.integers(1, 30)), seed + 1, 0.25).features,
@@ -138,7 +140,8 @@ def test_index_matches_radius_first_loop_bit_for_bit(problem):
 def decimal_grid_problems(draw):
     """Rows, queries and eta on decimal grids (0.1 and 0.05 steps), which
     binary floats round: window ends p_j -+ r and distances land on, or a
-    rounding step beside, other rows' distances, and ties are common."""
+    rounding step beside, other rows' distances, and ties are common.  eta
+    is sometimes infinite."""
     d = draw(st.integers(1, 2))
     n = draw(st.integers(1, 12))
     tenths = st.lists(st.integers(-20, 20), min_size=d, max_size=d)
@@ -147,7 +150,7 @@ def decimal_grid_problems(draw):
     assignment = np.array(draw(st.lists(st.integers(0, len(vectors) - 1), min_size=n, max_size=n)))
     twentieths = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
     queries = np.array(draw(st.lists(twentieths, min_size=1, max_size=4))) * 0.05
-    eta = draw(st.integers(1, 20)) * 0.1
+    eta = draw(st.one_of(st.integers(1, 20).map(lambda steps: steps * 0.1), st.just(math.inf)))
     return x, vectors, assignment, queries, eta, draw(st.integers(1, n + 1))
 
 
@@ -177,7 +180,8 @@ def test_index_matches_radius_first_loop_on_decimal_grids(problem):
 def tied_grid_problems(draw):
     """Rows on a decimal grid of a few values, each repeated, so that several
     rows often tie at the k-th distance; k runs up to the row count, so it
-    often falls inside a tie and only part of it can be picked."""
+    often falls inside a tie and only part of it can be picked.  eta is
+    sometimes infinite."""
     d = draw(st.integers(1, 2))
     levels = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(2, 40))
@@ -189,13 +193,17 @@ def tied_grid_problems(draw):
     queries = np.array(draw(st.lists(
         st.lists(st.integers(-8, 8), min_size=d, max_size=d), min_size=1, max_size=4
     ))) * 0.05
-    return x, vectors, assignment, queries, draw(st.integers(1, 20)) * 0.1, draw(st.integers(1, n))
+    eta = draw(st.one_of(st.integers(1, 20).map(lambda steps: steps * 0.1), st.just(math.inf)))
+    return x, vectors, assignment, queries, eta, draw(st.integers(1, n))
 
 
 @given(tied_grid_problems())
 # five rows tie at the 3rd distance (0.3): the walk may keep only two of them,
 # the lowest indices, as the loop does
 @example(pinned([[3], [-3], [1], [3], [-3], [3]], [[1.0]], [0] * 6, [[0]], 20, 3))
+# at eta infinite, rows 0.05 either side of the query tie; those left out of the
+# half-open windows must not let the query settle
+@example(pinned([[0], [0], [1], [1]], [[-1.0]], [0] * 4, [[1]], math.inf, 2))
 @settings(max_examples=300, deadline=None)
 def test_index_keeps_the_lowest_indices_of_a_tie_at_the_kth_distance(problem):
     x, vectors, assignment, queries, eta, k = problem
@@ -254,17 +262,55 @@ def test_slab_bound_near_the_row_norm_bound_is_finite_without_warnings():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("eta", [0.5, 4.0, math.inf])
+@pytest.mark.parametrize("bound", [None, 8])
+@pytest.mark.parametrize("level, other", [(0.0, 0.0), (3.0, 3.0), (0.0, 5e-324)])
+def test_walk_over_offsets_without_spread_ends_and_matches_the_loop(eta, bound, level, other):
+    """A tangent orthogonal to the data gives every row the same offset
+    (``level``, or ``other`` for every second row), so the spread that sizes
+    the first windows at eta infinite is 0 (or so small that k / 2N of it
+    is 0); half the rows are duplicates, so whole runs of rows tie."""
+    rng = np.random.default_rng(1)
+    x = np.column_stack((np.full(64, level), rng.standard_normal((64, 2))))
+    x[::2, 0] = other
+    x[32:] = x[:32]
+    vectors, assignment = np.eye(3)[:1], np.zeros(64, dtype=np.intp)
+    index = ProxyIndex(x, vectors, assignment)
+    assert index.spread * 3 / 128 == 0.0
+    queries = np.vstack((x[:3], rng.standard_normal((5, 3))))
+    values = 2.0 ** np.arange(64)
+    for ks in ([1], [3, 1]):
+        got = indexed_means(queries, x, values, ks, index, eta, bound)
+        want = radius_first_means(queries, x, values, ks, vectors, assignment, eta)
+        assert np.array_equal(got, want)
+
+
+def test_walk_whose_first_windows_round_to_zero_ends_and_matches_the_loop():
+    """At eta = 5e-324, 16 k / N of eta rounds to 0, and a window of width 0
+    would never grow by doubling."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((64, 3))
+    vectors, assignment = np.eye(3)[:2], np.arange(64) % 2
+    index = ProxyIndex(x, vectors, assignment)
+    queries = np.vstack((x[:3], rng.standard_normal((3, 3))))
+    values = 2.0 ** np.arange(64)
+    got = estimator._neighbour_means(queries, x, values, [1], index, 5e-324)
+    want = radius_first_means(queries, x, values, [1], vectors, assignment, 5e-324)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("k, n, indexed", [(1, 16, False), (1, 17, True), (32, 512, False),
                                            (32, 513, True), (323, 16384, True),
                                            (1024, 16384, False)])
 def test_index_runs_while_first_windows_are_narrower_than_eta(k, n, indexed):
+    """The same switch at a finite eta and at eta infinite."""
     rng = np.random.default_rng(0)
     train_x = rng.standard_normal((n, 3))
     index = ProxyIndex(train_x, np.eye(3)[:1], np.zeros(n, dtype=np.intp))
     with mock.patch.object(estimator, "_indexed_picks", wraps=estimator._indexed_picks) as walk:
         estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, 0.5)
         estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, math.inf)
-    assert walk.call_count == int(indexed)
+    assert walk.call_count == 2 * int(indexed)
 
 
 @pytest.mark.parametrize("k, n, rows", [(1, 17, 4), (1, 8192, 256), (32, 4096, 128),
