@@ -26,6 +26,7 @@ from .partition import (
     ResponsePartition,
     dyadic_partition,
     equiblock_partition,
+    member_groups,
 )
 from .tangents import TangentField, fit_tangents
 
@@ -225,9 +226,11 @@ def _smallest(row, k: int) -> np.ndarray:
 class ProxyIndex:
     """The proxy metric over one training set: the tangent ``vectors``,
     each row's level set in ``assignment`` and its offset c_i = a_i^T X_i.
-    ``sorted`` orders each level set's offsets on first use."""
+    ``sorted`` orders each level set's offsets on first use, and
+    ``row_sq`` computes the rows' squared norms on first use."""
 
     def __init__(self, train_x, vectors, assignment):
+        self.train_x = train_x
         self.vectors = vectors
         self.assignment = assignment
         self.offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
@@ -239,6 +242,15 @@ class ProxyIndex:
         order = np.lexsort((self.offsets, self.assignment))
         bounds = np.searchsorted(self.assignment[order], np.arange(len(self.vectors) + 1))
         return order, self.offsets[order], bounds
+
+    @cached_property
+    def row_sq(self) -> np.ndarray:
+        """||X_i||^2 of every training row, for the Euclidean radius test."""
+        return np.einsum("nd,nd->n", self.train_x, self.train_x)
+
+    @cached_property
+    def row_sq_max(self) -> float:
+        return float(self.row_sq.max())
 
     @cached_property
     def vector_norm(self) -> float:
@@ -442,9 +454,9 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
 
     With a ``proxy`` index the distance to row i is the restricted proxy
     metric |a_i^T (x - X_i)|, computed as |a_i^T x - c_i| with the offsets
-    c_i of the index.  Without it the distance is Euclidean.  Fewer than k
-    rows inside the radius eta are all averaged; with none, the
-    Euclidean-nearest row alone is.
+    c_i of the index, which must be built over ``train_x``.  Without it
+    the distance is Euclidean.  Fewer than k rows inside the radius eta
+    are all averaged; with none, the Euclidean-nearest row alone is.
 
     Each query is ranked once, with max(ks), and each k averages the first
     k rows of that ranking (``_average_picks``; a prefix sum would differ in
@@ -473,7 +485,12 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
     clipped = proxy is not None and not math.isinf(eta)
     euclidean = proxy is None or clipped
     bound = _walk_rows(k_max, n) if proxy is not None else 0
-    cand_sq = np.einsum("nd,nd->n", train_x, train_x) if euclidean else None
+    if not euclidean:
+        cand_sq = None
+    elif proxy is None:
+        cand_sq = np.einsum("nd,nd->n", train_x, train_x)
+    else:  # the index over train_x keeps them between calls
+        cand_sq = proxy.row_sq
     scratch = gram = q_sq = None
     for start, stop in _query_chunks(queries.shape[0], n):
         block = queries[start:stop]
@@ -487,7 +504,7 @@ def _neighbour_means(queries, train_x, values, ks, proxy: ProxyIndex | None = No
             q_sq = np.einsum("md,md->m", block, block)
         if bound:
             # at a finite eta the walk reads q.x as it is; only the rows it leaves are expanded
-            slab = _slab(proxy, eta, q_sq, float(cand_sq.max()), d) if clipped else np.full(m, eta)
+            slab = _slab(proxy, eta, q_sq, proxy.row_sq_max, d) if clipped else np.full(m, eta)
             picks, takes, rest = _indexed_picks(
                 proxy, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
             )
@@ -778,9 +795,10 @@ def _holds_boolean(value) -> bool:
 def model_from_dict(doc: dict) -> FittedNsim:
     """Rebuild a model from its JSON document.
 
-    Groups are reconstructed from the tangent assignment; for split models
-    they index the retained prediction half rather than the discarded
-    geometry half.  A document raises ``DataError`` when it has a missing
+    Groups are reconstructed from the tangent assignment, each in ascending
+    index order (``member_groups``); for split models they index the
+    retained prediction half rather than the discarded geometry half.
+    A document raises ``DataError`` when it has a missing
     key, intervals that are reversed or not contiguous, a tangent matrix
     that is not J x D or has a row off unit norm by more than 1e-9, level
     means or counts not sized for J level sets, an assignment that does not
@@ -874,9 +892,8 @@ def model_from_dict(doc: dict) -> FittedNsim:
         )
     if assignment.min() < 0 or assignment.max() >= j_count:
         raise DataError(f"tangent_assignment entries must lie in [0, {j_count})")
-    groups = tuple(np.flatnonzero(assignment == j) for j in range(j_count))
     return FittedNsim(
-        partition=ResponsePartition(intervals, groups),
+        partition=ResponsePartition(intervals, member_groups(assignment, j_count)),
         tangents=tangents,
         train=train,
         k=k,

@@ -8,6 +8,17 @@ intervals, so the two views never disagree on continuous data.  When equal
 response values straddle an equiblock boundary, the block assignment is
 authoritative: a sample's group may then differ from the interval that the
 right-open rule gives for its response value.
+
+A dyadic group lists its sample indices in ascending order; an equiblock
+group lists them by response, ties in ascending index order (the stable
+argsort).  Both partitioners rank the responses with one unstable
+``np.argsort``, and neither runs a comparison-based stable sort.  Equiblock
+restores index order inside each run of equal responses (-0.0 and 0.0 are
+one run) by sorting the unique integer keys run * n + index.  Dyadic reads
+each sample's interval off the ranked responses, as the count of inner
+edges at or below it, and splits the samples with ``member_groups``: a
+stable argsort of the interval indices in the narrowest unsigned type,
+which numpy radix-sorts up to 16 bits.
 """
 
 from __future__ import annotations
@@ -51,6 +62,15 @@ class ResponsePartition:
         return out
 
 
+def member_groups(member: np.ndarray, j_count: int) -> tuple[np.ndarray, ...]:
+    """The J groups of sample indices, each ascending, where ``member[i]``
+    in [0, J) is the group of sample i."""
+    # a stable sort keeps each group's indices ascending; numpy radix-sorts
+    # unsigned types of up to 16 bits
+    order = np.argsort(member.astype(np.min_scalar_type(j_count - 1)), kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(member, minlength=j_count))[:-1]))
+
+
 def _validated_responses(responses) -> np.ndarray:
     arr = np.asarray(responses, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -86,11 +106,13 @@ def dyadic_partition(responses, j_count: int) -> ResponsePartition:
         frac = np.arange(j_count + 1) / j_count
         edges = lo * (1.0 - frac) + hi * frac
     edges[0], edges[-1] = lo, hi
-    member = np.searchsorted(edges[1:j_count], arr, side="right")
-    # a stable sort keeps each group's indices ascending
-    order = np.argsort(member, kind="stable")
-    groups = tuple(np.split(order, np.cumsum(np.bincount(member, minlength=j_count))[:-1]))
-    return ResponsePartition(_intervals_from_edges(edges), groups)
+    # the interval of a response is the count of inner edges <= it; inner
+    # edge e counts for every ranked position from its first response >= e on
+    order = np.argsort(arr)
+    starts = np.searchsorted(arr[order], edges[1:j_count], side="left")
+    member = np.empty(arr.size, dtype=np.intp)
+    member[order] = np.cumsum(np.bincount(starts, minlength=arr.size + 1)[: arr.size])
+    return ResponsePartition(_intervals_from_edges(edges), member_groups(member, j_count))
 
 
 def equiblock_partition(responses, j_count: int) -> ResponsePartition:
@@ -106,7 +128,14 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     if j_count > n:
         raise DataError(f"J ({j_count}) exceeds sample count ({n})")
 
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr)
+    ranked = arr[order]
+    # runs of equal responses, numbered in ascending order; sorting the
+    # unique keys run * n + index puts each run's indices in ascending order,
+    # which is the stable argsort (run * n < 2^63 for n < 3e9)
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    order = np.sort(run * n + order) % n
     base, extra = divmod(n, j_count)
     sizes = [base + 1] * extra + [base] * (j_count - extra)
     splits = np.cumsum(sizes[:-1], dtype=np.intp)

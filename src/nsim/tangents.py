@@ -47,8 +47,11 @@ def fit_tangents(
     of b_j whose sum overflows on finite terms is taken from scaled terms
     instead, as the direction does not depend on the response scale.
 
-    Each level set is centred once; its covariance and cross-covariance go
-    into (J, D, D) and (J, D) stacks that one ``pseudo_inverse`` call solves.
+    Each level set's rows are gathered once (in the order its group lists
+    them, which fixes the bits of every sum) and centred in place; their
+    unscaled covariance and cross-covariance go into (J, D, D) and (J, D)
+    stacks, which are divided by the counts and symmetrised in one pass
+    each, and one ``pseudo_inverse`` call solves them.
     Errors are raised for the first failing level set in index order, in
     the per-level-set order: too small, non-finite covariance or bad
     ``rank_tol``, then a degenerate or non-finite direction.
@@ -60,6 +63,10 @@ def fit_tangents(
     means_x = np.empty((j_count, d))
     means_y = np.empty(j_count)
     counts = np.array([len(idx) for idx in partition.groups], dtype=np.intp)
+    # take copies a strided source whole on every call (the CSV reader's
+    # columns are strided); one copy here serves every level set
+    features = np.ascontiguousarray(data.features)
+    responses = np.ascontiguousarray(data.responses)
 
     # stop at the first level set that fails before the solve (too small or
     # a non-finite covariance); the level sets ahead of it are solved first,
@@ -69,16 +76,21 @@ def fit_tangents(
         if len(idx) < d + 1:
             stop = j
             break
-        x = data.features[idx]
-        y = data.responses[idx]
-        means_x[j] = x.mean(axis=0)
-        means_y[j] = y.mean()
+        x = features.take(idx, axis=0)
+        y = responses.take(idx)
+        # add.reduce / n has the bits of x.mean(axis=0) and y.mean()
+        means_x[j] = np.add.reduce(x, axis=0) / len(idx)
+        means_y[j] = np.add.reduce(y) / len(idx)
         if not math.isfinite(means_y[j]):  # the sum overflowed; the terms need not
             means_y[j] = (y / len(idx)).sum()
-        centered = x - means_x[j]
-        cov = centered.T @ centered / len(idx)
-        sigmas[j] = (cov + cov.T) / 2.0
-        rs[j] = centered.T @ (y - means_y[j]) / len(idx)
+        x -= means_x[j]
+        np.matmul(x.T, x, out=sigmas[j])
+        np.matmul(x.T, y - means_y[j], out=rs[j])
+    # the scaling and the symmetrisation are elementwise, so one pass over
+    # the stacks gives the bits that one pass per level set gives
+    sigmas[:stop] /= counts[:stop, None, None]
+    sigmas[:stop] = (sigmas[:stop] + sigmas[:stop].transpose(0, 2, 1)) / 2.0
+    rs[:stop] /= counts[:stop, None]
     finite = np.isfinite(sigmas[:stop]).all(axis=(1, 2))
     if not finite.all():
         stop = int(np.argmin(finite))

@@ -1,0 +1,85 @@
+"""bench/pairs.py on canned perfbench output; no perfbench run happens here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+
+def canned_stdout(wall_s, raw_wall_s, rss=150.0):
+    report = {"env": {"seed": 1}, "report": {"wall_s": wall_s, "raw_wall_s": raw_wall_s,
+                                             "raw_setup_s": 0.3, "passes": 48}}
+    result = {"correct": True, "attempted": 576, "failed": 0,
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    table = f"fit-sweep       wall_s {wall_s:>14.6g} s"
+    return "\n".join([table, json.dumps(report), json.dumps(result)]) + "\n"
+
+
+def test_a_run_keeps_its_result_metrics_and_the_raw_timings():
+    run = pairs.parse_run(canned_stdout(0.21, 0.30))
+    assert pairs.run_metrics(run) == {"wall_s": 0.21, "peak_rss_mb": 150.0,
+                                      "raw_wall_s": 0.30, "raw_setup_s": 0.3}
+
+
+def test_a_truncated_run_is_refused():
+    with pytest.raises(ValueError):
+        pairs.parse_run('{"correct": true}\n')
+
+
+def test_quartiles_are_inclusive():
+    assert pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                                          "n": 5}
+    assert pairs.quartiles([2.0, 1.0]) == {"median": 1.5, "q1": 1.25, "q3": 1.75, "n": 2}
+    assert pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "n": 1}
+
+
+PARENT = [0.28, 0.27, 0.29, 0.28, 0.30, 0.28, 0.27, 0.29, 0.28, 0.28]
+
+
+def test_nine_wins_of_ten_beyond_the_parent_iqr_make_a_claim():
+    change = [0.21] * 9 + [0.31]
+    v = pairs.verdict(PARENT, change, "lower")
+    assert (v["change_better"], v["change_worse"], v["ties"]) == (9, 1, 0)
+    assert (v["parent"]["q1"], v["parent"]["q3"]) == pytest.approx((0.28, 0.2875))
+    assert v["median_ratio"] == pytest.approx(0.21 / 0.28)
+    assert v["claim_holds"]
+
+
+def test_eight_wins_or_a_gap_inside_the_parent_iqr_make_none():
+    assert not pairs.verdict(PARENT, [0.21] * 8 + [0.31] * 2, "lower")["claim_holds"]
+    # ten wins, but the medians differ by less than the parent's IQR of 0.0075
+    assert not pairs.verdict(PARENT, [p - 0.005 for p in PARENT], "lower")["claim_holds"]
+    # ties count for neither side
+    v = pairs.verdict(PARENT, PARENT, "lower")
+    assert (v["change_better"], v["ties"], v["claim_holds"]) == (0, 10, False)
+
+
+def test_higher_is_better_turns_the_rule_around():
+    up = [2.0 * p for p in PARENT]
+    assert pairs.verdict(PARENT, up, "higher")["claim_holds"]
+    assert not pairs.verdict(PARENT, up, "lower")["claim_holds"]
+
+
+def test_summary_over_pairs_of_canned_runs():
+    runs = [{"parent": pairs.run_metrics(pairs.parse_run(canned_stdout(p, p + 0.1))),
+             "change": pairs.run_metrics(pairs.parse_run(canned_stdout(0.21, 0.31)))}
+            for p in PARENT]
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"},
+                           {"name": "peak_rss_mb", "better": "lower"}], "per_layer": []}
+    summary = pairs.summarize(runs, pairs.directions(spec))
+    assert sorted(summary) == ["peak_rss_mb", "raw_setup_s", "raw_wall_s", "wall_s"]
+    assert summary["wall_s"]["claim_holds"] and summary["raw_wall_s"]["claim_holds"]
+    assert summary["peak_rss_mb"]["ties"] == 10 and not summary["peak_rss_mb"]["claim_holds"]
+    assert summary["wall_s"]["change"] == {"median": 0.21, "q1": 0.21, "q3": 0.21, "n": 10}
+
+
+def test_seed_ranges():
+    assert pairs.parse_seeds("401-405") == [401, 402, 403, 404, 405]
+    assert pairs.parse_seeds("1,2,5") == [1, 2, 5]

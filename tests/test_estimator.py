@@ -764,6 +764,24 @@ class TestSerialization:
         queries = np.random.default_rng(8).normal(size=(30, 4))
         assert np.array_equal(predict_many(restored, queries), predict_many(model, queries))
 
+    @pytest.mark.parametrize("kind", ["dyadic", "equiblock"])
+    def test_saved_model_reloads_its_groups(self, tmp_path, kind):
+        geometry, _ = synth(n=300, seed=61, c=0.1)
+        prediction, _ = synth(n=200, seed=62, c=0.1)
+        plain = fit(geometry, 7, 2, eta=0.5, partition_kind=kind)
+        split = fit_split(geometry, prediction, 7, 2, eta=0.5, partition_kind=kind)
+        # a loaded model lists each group in ascending index order, where an
+        # equiblock fit lists it by response; a split model's groups index
+        # the prediction half it keeps
+        plain_groups = [np.sort(idx) for idx in plain.partition.groups]
+        split_groups = [np.flatnonzero(split.tangent_assignment == j) for j in range(7)]
+        for model, groups in ((plain, plain_groups), (split, split_groups)):
+            save_model(tmp_path / "model.json", model)
+            restored = load_model(tmp_path / "model.json").partition.groups
+            assert len(restored) == len(groups)
+            for mine, expected in zip(restored, groups):
+                assert mine.dtype == np.intp and np.array_equal(mine, expected)
+
     def test_indented_model_file_loads_and_predicts_bit_identically(self, tmp_path):
         model = fit(synth(n=120, seed=60, c=0.1)[0], 3, 2, eta=0.5)
         compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"

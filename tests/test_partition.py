@@ -210,3 +210,84 @@ class TestPartitionProperties:
             for i, y in enumerate(responses):
                 iv = part.intervals[member[i]]
                 assert iv.lower <= y and (y <= iv.upper if iv.closed_upper else y < iv.upper)
+
+
+# a few values that tie, including both zeros, subnormals and values near float max
+TIE_POOL = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1.5, 1e308, -1e308, MAX, -MAX]
+
+
+def oracle_groups(member, j_count):
+    """Groups built one sample at a time in index order."""
+    groups = [[] for _ in range(j_count)]
+    for i, j in enumerate(member.tolist()):
+        groups[j].append(i)
+    return [np.array(g, dtype=np.intp) for g in groups]
+
+
+def dyadic_member(responses, part):
+    inner = np.array([iv.lower for iv in part.intervals[1:]])
+    return np.searchsorted(inner, responses, side="right")
+
+
+def equiblock_oracle(responses, j_count):
+    base, extra = divmod(len(responses), j_count)
+    sizes = [base + 1] * extra + [base] * (j_count - extra)
+    return np.split(np.argsort(responses, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def assert_same_groups(got, expected):
+    assert len(got) == len(expected)
+    for mine, reference in zip(got, expected):
+        assert mine.dtype == np.intp
+        assert np.array_equal(mine, reference)
+
+
+@st.composite
+def tied_responses_and_j(draw):
+    pool = draw(
+        st.lists(
+            st.sampled_from(TIE_POOL) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    return np.asarray(values), draw(st.integers(1, len(values)))
+
+
+class TestPartitionOracle:
+    """Both partitions against their plain formulations: a bisection of the
+    inner edges for dyadic, a stable argsort cut into blocks for equiblock;
+    each group lists its indices in ascending order."""
+
+    @given(tied_responses_and_j())
+    @example((np.array([0.0, -0.0, 0.0, -0.0]), 2))
+    @example((np.array([-MAX, 5e-324, -5e-324, MAX, 5e-324]), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties(self, case):
+        responses, j_count = case
+        assert_same_groups(
+            equiblock_partition(responses, j_count).groups, equiblock_oracle(responses, j_count)
+        )
+        if j_count > 1 and responses.min() == responses.max():
+            with pytest.raises(DataError, match="degenerate response range"):
+                dyadic_partition(responses, j_count)
+            return
+        part = dyadic_partition(responses, j_count)
+        member = dyadic_member(responses, part)
+        assert_same_groups(part.groups, oracle_groups(member, j_count))
+        assert np.array_equal(part.sample_groups(), member)
+
+    @pytest.mark.parametrize(
+        "n, j_count, pool_size",
+        [(5000, 300, 40), (70000, 70000, 30000)],  # uint16 and uint32 group indices
+    )
+    def test_many_level_sets(self, n, j_count, pool_size):
+        rng = np.random.default_rng(j_count)
+        pool = np.concatenate([[-0.0, 0.0, 5e-324], rng.normal(size=pool_size)])
+        responses = rng.choice(pool, n)
+        part = dyadic_partition(responses, j_count)
+        assert_same_groups(part.groups, oracle_groups(dyadic_member(responses, part), j_count))
+        assert_same_groups(
+            equiblock_partition(responses, j_count).groups, equiblock_oracle(responses, j_count)
+        )

@@ -335,3 +335,16 @@ def test_queries_whose_windows_outgrow_the_bound_leave_the_walk():
     for bound, left in ((8, [0, 1]), (64, [1])):
         _, _, rest = estimator._indexed_picks(index, gram, q_sq, c_sq, proj, 0.2, 16, slab, bound)
         assert sorted(rest) == left
+
+
+def test_index_keeps_the_squared_row_norms_between_searches():
+    data, _ = generate(SynthConfig(make_curve("helix"), 4, 600, 9, 0.25, 0.1))
+    model = fit(data, 4, 3, eta=0.5)
+    queries = np.random.default_rng(2).normal(size=(50, 4))
+    first = estimator.predict_many(model, queries)
+    assert model.proxy_index.row_sq.tobytes() == np.einsum(
+        "nd,nd->n", data.features, data.features).tobytes()
+    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+        again = estimator.predict_many(model, queries)
+    assert not [c for c in einsum.call_args_list if any(a is data.features for a in c.args)]
+    assert again.tobytes() == first.tobytes()

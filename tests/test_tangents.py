@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from nsim.errors import DataError, InfeasibleFitError, NsimError, UsageError
 from nsim.linalg import cross_covariance, pseudo_inverse, sample_covariance
 from nsim.partition import dyadic_partition, equiblock_partition
 from nsim.estimator import fit
+from nsim.geometry import SynthConfig, generate, make_curve
 from nsim.tangents import DEGENERATE_NORM, fit_tangents, grammian
 
 
@@ -279,3 +282,92 @@ class TestAssignTangent:
         member = model.partition.sample_groups()
         for i in range(data.n):
             assert np.array_equal(model.tangent_rows()[i], model.tangents.vectors[member[i]])
+
+
+def per_level_set_loop_fit(data, partition):
+    """The fit with each level set's moments computed, scaled and
+    symmetrised on their own, one level set after another, then solved
+    together: (vectors, level means of x, level means of y, counts,
+    assignment), or None where a level set is too small or its covariance
+    or direction is not finite or degenerate."""
+    sigmas, rs, means_x, means_y = [], [], [], []
+    for idx in partition.groups:
+        if len(idx) < data.d + 1:
+            return None
+        x = data.features[idx]
+        y = data.responses[idx]
+        mean_x, mean_y = x.mean(axis=0), y.mean()
+        if not math.isfinite(mean_y):
+            mean_y = (y / len(idx)).sum()
+        centered = x - mean_x
+        cov = centered.T @ centered / len(idx)
+        sigmas.append((cov + cov.T) / 2.0)
+        rs.append(centered.T @ (y - mean_y) / len(idx))
+        means_x.append(mean_x)
+        means_y.append(mean_y)
+    if not np.isfinite(sigmas).all():
+        return None
+    b = (pseudo_inverse(np.array(sigmas)) @ np.array(rs)[:, :, None])[:, :, 0]
+    norms = np.array([float(np.linalg.norm(row)) for row in b])
+    if not (np.isfinite(norms).all() and (norms >= DEGENERATE_NORM).all()):
+        return None
+    assignment = np.empty(data.n, dtype=np.intp)
+    for j, idx in enumerate(partition.groups):
+        assignment[idx] = j
+    counts = np.array([len(idx) for idx in partition.groups], dtype=np.intp)
+    return b / norms[:, None], np.array(means_x), np.array(means_y), counts, assignment
+
+
+PARTITIONS = {"dyadic": dyadic_partition, "equiblock": equiblock_partition}
+
+
+@st.composite
+def fit_problems(draw):
+    d = draw(st.integers(1, 4))
+    j_count = draw(st.integers(1, 6))
+    n = j_count * (d + 1) + draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    if draw(st.booleans()):  # heavy ties, both zeros among them
+        responses = rng.choice([-0.0, 0.0, 1.0, -2.0, 3.5, 5e-324], n)
+    else:
+        responses = np.tanh(features[:, 0]) + 0.1 * rng.normal(size=n)
+    if draw(st.booleans()):  # strided columns of one array, as the CSV reader gives them
+        table = np.column_stack([features, responses])
+        features, responses = table[:, :-1], table[:, -1]
+    return Dataset(features, responses), j_count, draw(st.sampled_from(sorted(PARTITIONS)))
+
+
+def assert_fit_equals_loop(data, j_count, kind):
+    model = fit(data, j_count, 1, partition_kind=kind)
+    reference = per_level_set_loop_fit(data, model.partition)
+    assert reference is not None
+    field = model.tangents
+    got = (field.vectors, field.level_means_x, field.level_means_y, field.counts,
+           model.tangent_assignment)
+    for mine, expected in zip(got, reference):
+        assert mine.dtype == expected.dtype and mine.shape == expected.shape
+        assert mine.tobytes() == expected.tobytes()
+
+
+class TestLevelSetLoop:
+    """``fit`` gives, bit for bit, what one level set at a time gives."""
+
+    @given(fit_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, problem):
+        data, j_count, kind = problem
+        try:
+            partition = PARTITIONS[kind](data.responses, j_count)
+        except DataError:  # constant responses admit only J = 1
+            assume(False)
+        if per_level_set_loop_fit(data, partition) is None:
+            with pytest.raises(NsimError):
+                fit(data, j_count, 1, partition_kind=kind)
+            return
+        assert_fit_equals_loop(data, j_count, kind)
+
+    @pytest.mark.parametrize("kind", sorted(PARTITIONS))
+    def test_helix_with_364_level_sets(self, kind):
+        data, _ = generate(SynthConfig(make_curve("helix"), 12, 65536, 3, 0.25, 0.0))
+        assert_fit_equals_loop(data, 364, kind)
