@@ -18,6 +18,14 @@ report beside them, and the claim verdict of every metric.
 A claim holds when the change is better in at least nine tenths of the
 pairs (ties count for neither side) and the medians differ, in the change's
 favour, by more than the parent's interquartile range.
+
+Each end-to-end metric also gets a no-regression verdict against its
+``bound`` in BENCHMARK.json, a fraction of the parent's median (the raw
+timings take the bound of their scaled metric): ``regressed`` when the
+change's median is worse than the parent's by more than the bound,
+``unresolved`` when the parent's interquartile range is wider than the
+bound, unless every change run beats every parent run, and ``none``
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import sys
 from pathlib import Path
 
 RAW = ("raw_wall_s", "raw_setup_s")  # scaled only in the report; lower is better
+SCALED = {"raw_wall_s": "wall_s", "raw_setup_s": "setup_s"}
 SIDES = ("parent", "change")
 
 
@@ -58,15 +67,30 @@ def quartiles(values) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def verdict(parent, change, better: str) -> dict:
-    """Pairs won, lost and tied by the change, and whether that makes a claim."""
+def regression(parent, change, better: str, bound: float) -> str:
+    """'regressed', 'unresolved' or 'none' for one end-to-end metric whose
+    ``bound`` is a fraction of the parent's median."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    allowed = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) > allowed:
+        return "regressed"
+    beats_all = max(sign * value for value in change) < min(sign * value for value in parent)
+    if p["q3"] - p["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "none"
+
+
+def verdict(parent, change, better: str, bound: float | None = None) -> dict:
+    """Pairs won, lost and tied by the change, whether that makes a claim,
+    and, given a ``bound``, the no-regression verdict."""
     sign = 1.0 if better == "lower" else -1.0
     gaps = [sign * (p - c) for p, c in zip(parent, change)]
     wins, losses = sum(g > 0 for g in gaps), sum(g < 0 for g in gaps)
     p, c = quartiles(parent), quartiles(change)
     iqr = p["q3"] - p["q1"]
     gain = sign * (p["median"] - c["median"])
-    return {
+    out = {
         "parent": p,
         "change": c,
         "change_better": wins,
@@ -76,15 +100,20 @@ def verdict(parent, change, better: str) -> dict:
         "median_gain_over_parent_iqr": gain / iqr if iqr else None,
         "claim_holds": wins >= 0.9 * len(gaps) and gain > iqr,
     }
+    if bound is not None:
+        out["regression"] = regression(parent, change, better, bound)
+    return out
 
 
-def summarize(pairs: list, directions: dict) -> dict:
-    """Per metric, the verdict over ``pairs`` of {side: metrics}; metrics
-    that some run lacks or whose direction is unknown are left out."""
+def summarize(pairs: list, directions: dict, bounds: dict) -> dict:
+    """Per metric, the verdict over ``pairs`` of {side: metrics}, with the
+    no-regression verdict where ``bounds`` has the metric; metrics that some
+    run lacks or whose direction is unknown are left out."""
     names = set.intersection(*(set(pair[side]) for pair in pairs for side in SIDES))
     return {
         name: verdict([pair["parent"][name] for pair in pairs],
-                      [pair["change"][name] for pair in pairs], directions[name])
+                      [pair["change"][name] for pair in pairs], directions[name],
+                      bounds.get(name))
         for name in sorted(names)
         if name in directions
     }
@@ -94,6 +123,14 @@ def directions(spec: dict) -> dict:
     """'lower' or 'higher' for every metric BENCHMARK.json declares."""
     out = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     out.update({name: "lower" for name in RAW})
+    return out
+
+
+def bounds(spec: dict) -> dict:
+    """The bound of every end-to-end metric that declares one, and of each
+    raw timing the bound of its scaled metric."""
+    out = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    out.update({raw: out[name] for raw, name in SCALED.items() if name in out})
     return out
 
 
@@ -126,7 +163,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = directions(spec)
+    better, bound = directions(spec), bounds(spec)
 
     runs, workloads = [], {}
     for workload in args.workload.split(","):
@@ -142,7 +179,7 @@ def main(argv=None) -> int:
                                  "failed": run["result"]["failed"], "stdout_tail": run})
                 workloads.setdefault(workload, {}).setdefault(f"trace{trace}", []).append(pair)
 
-    summary = {w: {t: summarize(pairs, better) for t, pairs in modes.items()}
+    summary = {w: {t: summarize(pairs, better, bound) for t, pairs in modes.items()}
                for w, modes in workloads.items()}
     args.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --trace <trace>",
@@ -159,7 +196,8 @@ def main(argv=None) -> int:
                     v = metrics[name]
                     print(f"{workload:15s} {mode} {name:12s} parent {v['parent']['median']:.6g} "
                           f"change {v['change']['median']:.6g} better {v['change_better']}/"
-                          f"{v['parent']['n']} claim {v['claim_holds']}")
+                          f"{v['parent']['n']} claim {v['claim_holds']} "
+                          f"regression {v.get('regression')}")
     failed = sum(not r["correct"] for r in runs)
     print(f"runs {len(runs)}, not correct {failed}")
     return 1 if failed else 0

@@ -51,9 +51,11 @@ _CURVE_ID = {kind: i for i, kind in enumerate(CURVE_KINDS)}
 def rmse_function(predictions, truths) -> float:
     """Relative RMSE: sqrt(sum (pred - truth)^2 / sum truth^2).
 
-    When either sum overflows, or the truths' underflows to 0, both sums
-    are taken again on the values divided by max |truth|, which leaves the
-    ratio unchanged; otherwise the plain sums give the result."""
+    When either sum or their ratio overflows, or the truths' sum underflows
+    to 0, the errors and the truths are each divided by their own max
+    |value| before squaring, and the ratio of those maxima scales the
+    result back; a result past float max raises ``DataError``.  Otherwise
+    the plain sums give the result."""
     preds = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(truths, dtype=np.float64)
     if preds.shape != truth.shape or preds.ndim != 1 or preds.size == 0:
@@ -61,15 +63,27 @@ def rmse_function(predictions, truths) -> float:
             f"predictions and truths must be equal-length vectors, got {preds.shape} and {truth.shape}"
         )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        err = float(np.sum((preds - truth) ** 2))
+        diff = preds - truth
+        err = float(np.sum(diff**2))
         denom = float(np.sum(truth**2))
-        if not (math.isfinite(err) and math.isfinite(denom) and denom > 0.0):
-            scale = float(np.max(np.abs(truth)))
-            if scale == 0.0:
-                raise DataError("undefined relative RMSE: truths are all zero")
-            err = float(np.sum((preds / scale - truth / scale) ** 2))
-            denom = float(np.sum((truth / scale) ** 2))
-    return math.sqrt(err / denom)
+        if math.isfinite(err) and math.isfinite(denom) and denom > 0.0:
+            rmse = math.sqrt(err / denom)
+            if math.isfinite(rmse):
+                return rmse
+        truth_scale = float(np.max(np.abs(truth)))
+        if truth_scale == 0.0:
+            raise DataError("undefined relative RMSE: truths are all zero")
+        halved = not np.isfinite(diff).all()  # an error past float max: take half of each
+        if halved:
+            diff = preds / 2.0 - truth / 2.0
+        err_scale = float(np.max(np.abs(diff)))
+        if err_scale == 0.0:
+            return 0.0
+        ratio = float(np.sum((diff / err_scale) ** 2)) / float(np.sum((truth / truth_scale) ** 2))
+        rmse = err_scale / truth_scale * (2.0 if halved else 1.0) * math.sqrt(ratio)
+    if not math.isfinite(rmse):
+        raise DataError("relative RMSE overflows: errors too large for the truths' magnitude")
+    return rmse
 
 
 def rmse_tangent(estimated, true_at_midpoints) -> float:
@@ -426,8 +440,8 @@ def real_benchmark(
         rmses = [r["rmse"] for r in rows]
         entry = {
             "splits_used": len(rows),
-            "rmse_mean": float(np.mean(rmses)) if rows else None,
-            "rmse_std": float(np.std(rmses)) if rows else None,
+            "rmse_mean": _scaled_stat(np.mean, rmses) if rows else None,
+            "rmse_std": _scaled_stat(np.std, rmses) if rows else None,
         }
         ks = [r["k"] for r in rows if r["k"] is not None]
         js = [r["J"] for r in rows if r["J"] is not None]
@@ -451,6 +465,18 @@ def real_benchmark(
         "methods": summary,
         "splits": split_rows,
     }
+
+
+def _scaled_stat(stat, values) -> float:
+    """``stat`` (the mean or the std) of finite ``values``; where it
+    overflows, the values are divided by their max |value| and the result
+    scaled back, which cannot overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float(stat(values))
+    if not math.isfinite(out):
+        scale = float(np.max(np.abs(values)))
+        out = scale * float(stat(np.asarray(values) / scale))
+    return out
 
 
 def _knn_cv(train: Dataset, k_grid, folds: int, seed: int) -> int:

@@ -121,7 +121,9 @@ def read_dataset_csv(
 
     Returns (dataset, feature_names, dropped_columns).  With standardize,
     every feature column is shifted/scaled to mean 0 and (population) std 1;
-    constant columns would divide by zero and are dropped instead.
+    constant columns would divide by zero and are dropped instead.  A
+    column whose std overflows or underflows to 0 is first divided by its
+    max |value|; the others keep the bits of the plain formula.
     """
     header, values = _read_numeric_csv(path)
     if len(header) < 2:
@@ -148,7 +150,13 @@ def read_dataset_csv(
             raise DataError(f"{path}: all feature columns are constant")
         features = features[:, keep]
         names = [names[c] for c in keep]
-        features = (features - features.mean(axis=0)) / features.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = features.std(axis=0)
+        extreme = ~(np.isfinite(std) & (std > 0.0))
+        if extreme.any():
+            features[:, extreme] /= np.abs(features[:, extreme]).max(axis=0)
+            std[extreme] = features[:, extreme].std(axis=0)
+        features = (features - features.mean(axis=0)) / std
 
     return Dataset(features, responses), names, dropped
 

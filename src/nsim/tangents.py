@@ -32,50 +32,29 @@ class TangentField:
     counts: np.ndarray  # (J,)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a non-finite b_j
-def fit_tangents(
-    data: Dataset,
-    partition: ResponsePartition,
-    rank_tol: float | None = None,
-) -> TangentField:
-    """Estimate one unit index vector per level set.
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a non-finite moment
+def centred_moments(features, responses, groups):
+    """(means_x, means_y, sigmas, rs): per group of row indices, the feature
+    and response means, the (1/n) covariance of the centred rows
+    (symmetrised) and their cross-covariance with the centred responses,
+    stacked (G, D), (G,), (G, D, D) and (G, D).
 
-    Every level set needs at least D+1 samples (a rank-D covariance plus the
-    mean); a vanishing regression vector is reported as a degenerate
-    direction rather than silently normalized, and a non-finite one (data
-    too large in magnitude) as a ``DataError``.  A response mean or a norm
-    of b_j whose sum overflows on finite terms is taken from scaled terms
-    instead, as the direction does not depend on the response scale.
-
-    Each level set's rows are gathered once (in the order its group lists
-    them, which fixes the bits of every sum) and centred in place; their
-    unscaled covariance and cross-covariance go into (J, D, D) and (J, D)
-    stacks, which are divided by the counts and symmetrised in one pass
-    each, and one ``pseudo_inverse`` call solves them.
-    Errors are raised for the first failing level set in index order, in
-    the per-level-set order: too small, non-finite covariance or bad
-    ``rank_tol``, then a degenerate or non-finite direction.
-    """
-    j_count = partition.n_groups
-    d = data.d
-    sigmas = np.empty((j_count, d, d))
-    rs = np.empty((j_count, d))
-    means_x = np.empty((j_count, d))
-    means_y = np.empty(j_count)
-    counts = np.array([len(idx) for idx in partition.groups], dtype=np.intp)
+    Each group's rows are gathered once (in the order the group lists them,
+    which fixes the bits of every sum) and centred in place.  A response
+    mean whose sum overflows on finite terms is taken from scaled terms
+    instead.  The fit takes one group per level set, and the
+    least-squares baseline one group of every row."""
+    g, d = len(groups), features.shape[1]
+    sigmas = np.empty((g, d, d))
+    rs = np.empty((g, d))
+    means_x = np.empty((g, d))
+    means_y = np.empty(g)
+    counts = np.array([len(idx) for idx in groups], dtype=np.intp)
     # take copies a strided source whole on every call (the CSV reader's
-    # columns are strided); one copy here serves every level set
-    features = np.ascontiguousarray(data.features)
-    responses = np.ascontiguousarray(data.responses)
-
-    # stop at the first level set that fails before the solve (too small or
-    # a non-finite covariance); the level sets ahead of it are solved first,
-    # since a degenerate direction among them takes precedence
-    stop = j_count
-    for j, idx in enumerate(partition.groups):
-        if len(idx) < d + 1:
-            stop = j
-            break
+    # columns are strided); one copy here serves every group
+    features = np.ascontiguousarray(features)
+    responses = np.ascontiguousarray(responses)
+    for j, idx in enumerate(groups):
         x = features.take(idx, axis=0)
         y = responses.take(idx)
         # add.reduce / n has the bits of x.mean(axis=0) and y.mean()
@@ -87,11 +66,45 @@ def fit_tangents(
         np.matmul(x.T, x, out=sigmas[j])
         np.matmul(x.T, y - means_y[j], out=rs[j])
     # the scaling and the symmetrisation are elementwise, so one pass over
-    # the stacks gives the bits that one pass per level set gives
-    sigmas[:stop] /= counts[:stop, None, None]
-    sigmas[:stop] = (sigmas[:stop] + sigmas[:stop].transpose(0, 2, 1)) / 2.0
-    rs[:stop] /= counts[:stop, None]
-    finite = np.isfinite(sigmas[:stop]).all(axis=(1, 2))
+    # the stacks gives the bits that one pass per group gives
+    sigmas /= counts[:, None, None]
+    sigmas = (sigmas + sigmas.transpose(0, 2, 1)) / 2.0
+    rs /= counts[:, None]
+    return means_x, means_y, sigmas, rs
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a non-finite b_j
+def fit_tangents(
+    data: Dataset,
+    partition: ResponsePartition,
+    rank_tol: float | None = None,
+) -> TangentField:
+    """Estimate one unit index vector per level set.
+
+    Every level set needs at least D+1 samples (a rank-D covariance plus the
+    mean); a vanishing regression vector is reported as a degenerate
+    direction rather than silently normalized, and a non-finite one (data
+    too large in magnitude) as a ``DataError``.  A norm of b_j whose sum
+    overflows on finite terms is taken from scaled terms instead, as the
+    direction does not depend on the response scale.
+
+    The level sets' moments come from one ``centred_moments`` call, and
+    one ``pseudo_inverse`` call solves them.
+    Errors are raised for the first failing level set in index order, in
+    the per-level-set order: too small, non-finite covariance or bad
+    ``rank_tol``, then a degenerate or non-finite direction.
+    """
+    j_count = partition.n_groups
+    counts = np.array([len(idx) for idx in partition.groups], dtype=np.intp)
+    # stop at the first level set that fails before the solve (too small or
+    # a non-finite covariance); the level sets ahead of it are solved first,
+    # since a degenerate direction among them takes precedence
+    small = np.flatnonzero(counts < data.d + 1)
+    stop = int(small[0]) if small.size else j_count
+    means_x, means_y, sigmas, rs = centred_moments(
+        data.features, data.responses, partition.groups[:stop]
+    )
+    finite = np.isfinite(sigmas).all(axis=(1, 2))
     if not finite.all():
         stop = int(np.argmin(finite))
 
@@ -108,9 +121,9 @@ def fit_tangents(
             if norms[j] < DEGENERATE_NORM:
                 raise InfeasibleFitError(f"degenerate regression direction in level set {j}")
     if stop < j_count:
-        if counts[stop] < d + 1:
+        if counts[stop] < data.d + 1:
             raise InfeasibleFitError(
-                f"level set {stop} too small (need >= {d + 1} samples, got {counts[stop]})"
+                f"level set {stop} too small (need >= {data.d + 1} samples, got {counts[stop]})"
             )
         pseudo_inverse(sigmas[stop], rank_tol)  # raises: this covariance is not finite
 

@@ -73,7 +73,7 @@ def test_summary_over_pairs_of_canned_runs():
             for p in PARENT]
     spec = {"end_to_end": [{"name": "wall_s", "better": "lower"},
                            {"name": "peak_rss_mb", "better": "lower"}], "per_layer": []}
-    summary = pairs.summarize(runs, pairs.directions(spec))
+    summary = pairs.summarize(runs, pairs.directions(spec), pairs.bounds(spec))
     assert sorted(summary) == ["peak_rss_mb", "raw_setup_s", "raw_wall_s", "wall_s"]
     assert summary["wall_s"]["claim_holds"] and summary["raw_wall_s"]["claim_holds"]
     assert summary["peak_rss_mb"]["ties"] == 10 and not summary["peak_rss_mb"]["claim_holds"]
@@ -83,3 +83,56 @@ def test_summary_over_pairs_of_canned_runs():
 def test_seed_ranges():
     assert pairs.parse_seeds("401-405") == [401, 402, 403, 404, 405]
     assert pairs.parse_seeds("1,2,5") == [1, 2, 5]
+
+
+def test_a_median_worse_by_more_than_the_bound_is_a_regression():
+    # the parent's median is 0.28 and its IQR 0.0075, inside a bound of 0.25 * 0.28
+    assert pairs.verdict(PARENT, [0.36] * 10, "lower", 0.25)["regression"] == "regressed"
+    assert pairs.verdict(PARENT, [0.34] * 10, "lower", 0.25)["regression"] == "none"
+    assert pairs.verdict(PARENT, [0.20] * 10, "higher", 0.25)["regression"] == "regressed"
+    assert "regression" not in pairs.verdict(PARENT, [0.36] * 10, "lower")
+
+
+def test_a_parent_iqr_wider_than_the_bound_leaves_the_verdict_unresolved():
+    # IQR 0.0075 against a bound of 0.01 * 0.28 = 0.0028
+    assert pairs.verdict(PARENT, PARENT, "lower", 0.01)["regression"] == "unresolved"
+    # unless every change run beats every parent run
+    assert pairs.verdict(PARENT, [0.26] * 10, "lower", 0.01)["regression"] == "none"
+    assert pairs.verdict(PARENT, [0.31] * 10, "higher", 0.01)["regression"] == "none"
+    # a median past the bound is a regression however wide the parent's runs
+    assert pairs.verdict(PARENT, [0.40] * 10, "lower", 0.01)["regression"] == "regressed"
+
+
+def test_end_to_end_metrics_and_raw_timings_carry_the_regression_verdict():
+    runs = [{"parent": pairs.run_metrics(pairs.parse_run(canned_stdout(p, p + 0.1))),
+             "change": pairs.run_metrics(pairs.parse_run(canned_stdout(0.36, 0.50, rss=150.1)))}
+            for p in PARENT]
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}],
+            "per_layer": [{"name": "estimator.fit.s", "better": "lower"}]}
+    assert pairs.bounds(spec) == {"wall_s": 0.25, "peak_rss_mb": 0.1, "raw_wall_s": 0.25}
+    summary = pairs.summarize(runs, pairs.directions(spec), pairs.bounds(spec))
+    assert summary["wall_s"]["regression"] == "regressed"
+    assert summary["raw_wall_s"]["regression"] == "regressed"  # 0.50 against 0.38
+    assert summary["peak_rss_mb"]["regression"] == "none"
+    assert "regression" not in summary["raw_setup_s"]
+
+
+def test_main_prints_the_regression_verdict(capsys, tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+            "per_layer": []}
+    for side in pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    walls = {"parent": 0.28, "change": 0.40}
+    monkeypatch.setattr(pairs, "perfbench", lambda checkout, workload, seed, trace: pairs.parse_run(
+        canned_stdout(walls[checkout.name], walls[checkout.name] + 0.1)))
+    code = pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                       "--workload", "fit-sweep", "--seeds", "1-3", "--out",
+                       str(tmp_path / "pairs.json")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    wall = [line for line in lines if " wall_s " in line]
+    assert len(wall) == 1 and wall[0].endswith("claim False regression regressed")
+    out = json.loads((tmp_path / "pairs.json").read_text())
+    assert out["summary"]["fit-sweep"]["trace0"]["raw_wall_s"]["regression"] == "regressed"

@@ -1,11 +1,14 @@
 import csv
+import functools
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 from unittest import mock
 
@@ -119,6 +122,23 @@ class TestIngest:
         dataset, names, dropped = read_dataset_csv(path, standardize=True)
         assert names == ["a"] and dropped == ["b"]
         assert dataset.d == 1
+
+    @pytest.mark.parametrize(
+        "column, want",
+        [("0,1.8961503816218355e+154", [-1.0, 1.0]), ("0,5e-324,1e-323", [-1.5**0.5, 0.0, 1.5**0.5])],
+        ids=["std-overflows", "std-underflows"],
+    )
+    def test_standardize_scales_a_column_whose_std_leaves_the_float_range(
+        self, tmp_path, column, want
+    ):
+        cells = column.split(",")
+        rows = "".join(f"{cell},{i}\n" for i, cell in enumerate(cells))
+        path = write_csv(tmp_path / "d.csv", "a,y\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataset, _, dropped = read_dataset_csv(path, standardize=True)
+        assert dropped == []
+        assert np.allclose(dataset.features[:, 0], want, rtol=1e-15, atol=0)
 
     def test_cli_warns_about_dropped_columns(self, tmp_path, monkeypatch, capsys):
         path = write_csv(tmp_path / "d.csv", "a,b,y\n1,7,0\n2,7,1\n3,7,2\n4,7,3\n")
@@ -830,3 +850,45 @@ def test_corrupted_model_fields_exit_with_a_code(tmp_path_factory, edits):
                      "--out", str(tmp / "p.csv")])
     assert code in (0, 2), edits
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], edits
+
+
+@functools.cache
+def _model_text(d: int) -> str:
+    """A fitted model document in dimension ``d``, as JSON text."""
+    x = np.random.default_rng(d).normal(size=(8 * d, d))
+    return json.dumps(nsim.model_to_dict(nsim.fit(Dataset(x, x[:, 0]), 1, 2, 0.5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts)
+# squared errors of a 3e-182 truth overflowed in the relative RMSE, and the
+# report's inf did not fit in JSON
+@example(text="a,a,a\n0.0,0.0,2.6745302977060815e-182\n0.0,0,1\n0,0.0,0")
+# the std of a column holding 0 and 1.9e154 overflowed, and --standardize zeroed it
+@example(text="a,a,a\n0.0,0.0,-0\n0.0,1.8961503816218355e+154,0.0")
+def test_fuzzed_csv_through_every_command_exits_with_a_code(tmp_path_factory, text):
+    tmp = tmp_path_factory.getbasetemp()
+    data = tmp / "fuzzed.csv"
+    data.write_text(text, encoding="utf-8", newline="")
+    width = len(next(csv.reader(text.splitlines()), []))
+    model = tmp / "fuzzed_model.json"
+    model.write_text(_model_text(max(width, 1)))
+    commands = [
+        ["fit", "--data", data, "--J", 1, "--k", 1, "--out", tmp / "fuzzed_m.json"],
+        ["fit", "--data", data, "--J", 1, "--k", 1, "--split", "half", "--eta", 0.5,
+         "--out", tmp / "fuzzed_m.json"],
+        ["fit", "--data", data, "--J", 1, "--k", 1, "--standardize",
+         "--out", tmp / "fuzzed_m.json"],
+        ["predict", "--model", model, "--data", data, "--out", tmp / "fuzzed_p.csv"],
+        ["cv", "--data", data, "--j-grid", "1,2", "--k", 1, "--folds", 2, "--seed", 1,
+         "--out", tmp / "fuzzed_cv.json"],
+        ["gram", "--data", data, "--j-list", "1,2", "--out-dir", tmp / "fuzzed_gram"],
+        ["benchmark", "--data", data, "--repetitions", 1, "--folds", 2, "--j-grid", 1,
+         "--k-grid", 1, "--seed", 1, "--out-json", tmp / "fuzzed_b.json"],
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([str(part) for part in command])  # an uncaught error fails the test
+        assert code in (0, 1, 2, 3), command
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsim import estimator
+from nsim import estimator, search
 from nsim.data import Dataset
 from nsim.errors import DataError, InfeasibleFitError, UsageError
 from nsim.estimator import (
@@ -237,7 +237,7 @@ def tied_problems(draw):
     )
     queries = _int_rows(draw, draw(st.integers(1, 8)), d, -8, 8) / 2.0
     # small scratch budgets split the queries over several chunks
-    budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
+    budget = draw(st.sampled_from([1, 7, search._CHUNK_BUDGET]))
     return model, queries, budget
 
 
@@ -285,7 +285,7 @@ def averaging_problems(draw):
     grid = draw(st.lists(st.integers(1, n + 3), max_size=3))
     grid += [draw(st.integers(9, n)), n + draw(st.integers(1, 3))]
     grid = draw(st.permutations(grid))
-    budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
+    budget = draw(st.sampled_from([1, 7, search._CHUNK_BUDGET]))
     return model, queries, budget, grid
 
 
@@ -293,7 +293,7 @@ def averaging_problems(draw):
 @settings(max_examples=200, deadline=None)
 def test_k_grid_averages_equal_per_query_means_bit_for_bit(problem):
     model, queries, budget, grid = problem
-    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
         got = predict_many(model, queries, grid)
         got_knn = baseline_knn_many(model.train, queries, grid)
     for row, row_knn, k in zip(got, got_knn, grid):
@@ -305,7 +305,7 @@ def test_k_grid_averages_equal_per_query_means_bit_for_bit(problem):
 @settings(max_examples=200, deadline=None)
 def test_neighbour_search_matches_brute_force_with_ties(problem):
     model, queries, budget = problem
-    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
         got = predict_many(model, queries)
         got_knn = baseline_knn_many(model.train, queries, model.k)
     assert np.array_equal(got, brute_force_predictions(model, queries))
@@ -316,7 +316,7 @@ def walk_the_index():
     """Send every proxy search, at a finite eta or at eta infinite, through
     the sorted-offset index, and let no query leave it for the loop on
     window size."""
-    return mock.patch.object(estimator, "_walk_rows", lambda k_max, n: n)
+    return mock.patch.object(search, "_walk_rows", lambda k_max, n: n)
 
 
 @given(averaging_problems())
@@ -345,9 +345,9 @@ def grid_problems(draw):
 
 
 def ranked_once(call, *args):
-    """``call(*args)`` and the largest k of its one ``_neighbour_means`` call."""
+    """``call(*args)`` and the largest k of its one ``neighbour_means`` call."""
     with mock.patch.object(
-        estimator, "_neighbour_means", wraps=estimator._neighbour_means
+        estimator, "neighbour_means", wraps=estimator.neighbour_means
     ) as ranked:
         out = call(*args)
     assert ranked.call_count == 1
@@ -358,7 +358,7 @@ def ranked_once(call, *args):
 @settings(max_examples=200, deadline=None)
 def test_predict_k_grid_rows_match_single_k_calls(problem):
     model, queries, budget, grid = problem
-    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
         got, ranked_k = ranked_once(predict_many, model, queries, grid)
         assert ranked_k == max(grid)
         assert got.shape == (len(grid), len(queries))
@@ -371,7 +371,7 @@ def test_predict_k_grid_rows_match_single_k_calls(problem):
 @settings(max_examples=200, deadline=None)
 def test_baseline_k_grid_rows_match_single_k_calls(problem):
     model, queries, budget, grid = problem
-    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
         got, ranked_k = ranked_once(baseline_knn_many, model.train, queries, grid)
         assert ranked_k == min(max(grid), model.train.n)
         assert got.shape == (len(grid), len(queries))
@@ -446,7 +446,7 @@ def test_split_assignment_matches_brute_force_with_ties(problem):
 
     with (
         mock.patch.object(estimator, "fit_tangents", axis_tangents),
-        mock.patch.object(estimator, "_CHUNK_BUDGET", budget),
+        mock.patch.object(search, "_CHUNK_BUDGET", budget),
     ):
         split = fit_split(geometry, prediction, j_count, 1, eta, "equiblock")
     assert np.array_equal(
@@ -731,6 +731,18 @@ class TestBaselineLinreg:
         x = rng.normal(size=(300, 3))
         with pytest.raises(DataError, match="non-finite least-squares fit"):
             baseline_linreg(Dataset(x, 1e306 * x[:, 0] + 5e306))
+
+    def test_responses_near_float_max_take_the_fits_moments(self):
+        # the responses' plain sum overflows; the fit's scaled mean does not
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(60, 3))
+        w = np.array([1.0, -0.5, 0.25])
+        data = Dataset(x, x @ w * 1e305 + 1e307)
+        fit(data, 1, 1)
+        weights, intercept = baseline_linreg(data)
+        small_weights, small_intercept = baseline_linreg(Dataset(x, x @ w * 1e5 + 1e7))
+        assert np.allclose(weights, small_weights * 1e300, rtol=1e-9, atol=0)
+        assert intercept == pytest.approx(small_intercept * 1e300, rel=1e-9)
 
     def test_predict_helper(self):
         weights, intercept = np.array([1.0, -2.0]), 0.5

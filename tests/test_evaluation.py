@@ -52,6 +52,19 @@ class TestRmseFunction:
             math.sqrt(2.0 / 5.0), rel=1e-12
         )
 
+    def test_errors_far_above_tiny_truths_keep_a_finite_ratio(self):
+        # the squared error of the truths divided by their max overflows; the ratio does not
+        truth = 2.6745302977060815e-182
+        assert rmse_function([1.0, 0.5], [truth, 0.0]) == pytest.approx(
+            math.sqrt(1.25) / truth, rel=1e-12
+        )
+        assert rmse_function([1.7e308, 0.0], [-1.7e308, 1.0]) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("preds, truths", [([1e300], [1e-300]), ([1.7e308], [-5e-324])])
+    def test_a_ratio_past_float_max_is_a_data_error(self, preds, truths):
+        with pytest.raises(DataError, match="relative RMSE overflows"):
+            rmse_function(preds, truths)
+
     def test_finite_sums_give_the_plain_formula_bit_for_bit(self):
         rng = np.random.default_rng(13)
         preds, truths = rng.normal(size=40) * 1e150, rng.normal(size=40) * 1e150
@@ -254,6 +267,19 @@ class TestRealBenchmark:
             if split["method"].startswith("nsim-"):
                 assert split["J"] in (1, 2)
                 assert split["k"] in (1, 8)
+
+    def test_mean_and_std_of_split_rmses_near_float_max_stay_finite(self, monkeypatch):
+        # every method scores 1.5e308 on the first split and 1e308 on the second
+        rmses = iter([1.5e308] * 4 + [1e308] * 4)
+        monkeypatch.setattr(evaluation, "rmse_function", lambda preds, truths: next(rmses))
+        report = real_benchmark(
+            small_real_dataset(), 3, repetitions=2, folds=3, j_grid=(1,), k_grid=(1,)
+        )
+        for method in evaluation.BENCHMARK_METHODS:
+            entry = report["methods"][method]
+            assert entry["rmse_mean"] == pytest.approx(1.25e308, rel=1e-12)
+            assert entry["rmse_std"] == pytest.approx(0.25e308, rel=1e-12)
+        json.dumps(report, allow_nan=False)
 
     def test_data_error_in_one_method_is_recorded_not_fatal(self, linreg_fails):
         report = real_benchmark(

@@ -17,18 +17,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsim import estimator
+from nsim import estimator, search
 from nsim.data import Dataset
 from nsim.errors import InfeasibleFitError
-from nsim.estimator import ProxyIndex, fit
+from nsim.estimator import fit
 from nsim.geometry import SynthConfig, generate, make_curve
+from nsim.search import ProxyIndex
 
 
 def radius_first_means(queries, train_x, values, ks, vectors, assignment, eta):
     cand_sq = np.einsum("nd,nd->n", train_x, train_x)
     offsets = np.einsum("nd,nd->n", train_x, vectors[assignment])
     out = np.empty((len(ks), len(queries)))
-    step = max(1, estimator._CHUNK_BUDGET // len(train_x))
+    step = max(1, search._CHUNK_BUDGET // len(train_x))
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
         eucl2 = block @ train_x.T
@@ -50,17 +51,17 @@ def radius_first_means(queries, train_x, values, ks, vectors, assignment, eta):
     return out
 
 
-def indexed_means(queries, train_x, values, ks, index, eta, bound=None):
-    """``_neighbour_means`` with the index forced on; a query leaves the walk
+def indexed_means(queries, values, ks, index, eta, bound=None):
+    """``neighbour_means`` with the index forced on; a query leaves the walk
     for the loop once its windows would hold more than ``bound`` rows (None:
     no query leaves)."""
     with (
-        mock.patch.object(estimator, "_walk_rows", lambda k_max, n: bound or n),
+        mock.patch.object(search, "_walk_rows", lambda k_max, n: bound or n),
         mock.patch.object(
-            estimator, "_indexed_picks", wraps=estimator._indexed_picks
+            search, "_indexed_picks", wraps=search._indexed_picks
         ) as walk,
     ):
-        out = estimator._neighbour_means(queries, train_x, values, ks, index, eta)
+        out = search.neighbour_means(index, queries, values, ks, eta)
     assert walk.call_count >= 1
     return out
 
@@ -115,7 +116,7 @@ def shifted_helix_problems(draw):
     except InfeasibleFitError:
         model = fit(shifted, 1, 1, eta)
     ks = draw(st.sampled_from([[1], [1, 4, 32], [1, train.n // 8], [train.n // 2, 3]]))
-    budget = draw(st.sampled_from([1, 7, estimator._CHUNK_BUDGET]))
+    budget = draw(st.sampled_from([1, 7, search._CHUNK_BUDGET]))
     bound = draw(st.sampled_from([None, 32]))
     return model, queries + shift, ks, budget, bound
 
@@ -125,9 +126,9 @@ def shifted_helix_problems(draw):
 def test_index_matches_radius_first_loop_bit_for_bit(problem):
     model, queries, ks, budget, bound = problem
     train = model.train
-    with mock.patch.object(estimator, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
         got = indexed_means(
-            queries, train.features, train.responses, ks, model.proxy_index, model.eta, bound
+            queries, train.responses, ks, model.proxy_index, model.eta, bound
         )
         want = radius_first_means(
             queries, train.features, train.responses, ks,
@@ -171,7 +172,7 @@ def test_index_matches_radius_first_loop_on_decimal_grids(problem):
     x, vectors, assignment, queries, eta, k = problem
     values = 2.0 ** np.arange(len(x))  # distinct picks give distinct sums
     index = ProxyIndex(x, vectors, assignment)
-    got = indexed_means(queries, x, values, [k], index, eta)
+    got = indexed_means(queries, values, [k], index, eta)
     want = radius_first_means(queries, x, values, [k], vectors, assignment, eta)
     assert np.array_equal(got, want)
 
@@ -210,7 +211,7 @@ def test_index_keeps_the_lowest_indices_of_a_tie_at_the_kth_distance(problem):
     values = 2.0 ** np.arange(len(x))  # distinct picks give distinct sums
     index = ProxyIndex(x, vectors, assignment)
     ks = list(range(1, k + 1))  # every prefix of the ranking, so its order counts too
-    got = indexed_means(queries, x, values, ks, index, eta)
+    got = indexed_means(queries, values, ks, index, eta)
     want = radius_first_means(queries, x, values, ks, vectors, assignment, eta)
     assert np.array_equal(got, want)
 
@@ -230,11 +231,11 @@ def test_shifted_rows_admitted_beyond_eta_are_found():
     gram = queries @ train.features.T
     q_sq = np.einsum("md,md->m", queries, queries)
     c_sq = np.einsum("nd,nd->n", train.features, train.features)
-    admitted = ~(estimator._expanded_sq(gram, q_sq[:, None], c_sq) > eta * eta)
+    admitted = ~(search._expanded_sq(gram, q_sq[:, None], c_sq) > eta * eta)
     dist = np.abs((queries @ index.vectors.T)[:, index.assignment] - index.offsets[None, :])
     assert (admitted & (dist > eta)).any()
     ks = [1, 4, 32]
-    got = indexed_means(queries, train.features, train.responses, ks, index, eta)
+    got = indexed_means(queries, train.responses, ks, index, eta)
     want = radius_first_means(
         queries, train.features, train.responses, ks,
         model.tangents.vectors, model.tangent_assignment, eta,
@@ -253,11 +254,11 @@ def test_slab_bound_near_the_row_norm_bound_is_finite_without_warnings():
     q_sq = np.einsum("nd,nd->n", train_x, train_x)
     with np.errstate(all="raise"):
         for eta in (0.5, 1e150, float(np.finfo(np.float64).max)):
-            slab = estimator._slab(index, eta, q_sq, float(q_sq.max()), d)
+            slab = search._slab(index, eta, q_sq, float(q_sq.max()), d)
             assert np.all(slab >= min(eta, 1e300))
     values = np.array([1.0, 2.0, 4.0])
     for eta in (0.5, 1e154):
-        got = indexed_means(train_x, train_x, values, [1, 2], index, eta)
+        got = indexed_means(train_x, values, [1, 2], index, eta)
         want = radius_first_means(train_x, train_x, values, [1, 2], vectors, index.assignment, eta)
         assert np.array_equal(got, want)
 
@@ -280,7 +281,7 @@ def test_walk_over_offsets_without_spread_ends_and_matches_the_loop(eta, bound, 
     queries = np.vstack((x[:3], rng.standard_normal((5, 3))))
     values = 2.0 ** np.arange(64)
     for ks in ([1], [3, 1]):
-        got = indexed_means(queries, x, values, ks, index, eta, bound)
+        got = indexed_means(queries, values, ks, index, eta, bound)
         want = radius_first_means(queries, x, values, ks, vectors, assignment, eta)
         assert np.array_equal(got, want)
 
@@ -294,7 +295,7 @@ def test_walk_whose_first_windows_round_to_zero_ends_and_matches_the_loop():
     index = ProxyIndex(x, vectors, assignment)
     queries = np.vstack((x[:3], rng.standard_normal((3, 3))))
     values = 2.0 ** np.arange(64)
-    got = estimator._neighbour_means(queries, x, values, [1], index, 5e-324)
+    got = search.neighbour_means(index, queries, values, [1], 5e-324)
     want = radius_first_means(queries, x, values, [1], vectors, assignment, 5e-324)
     assert np.array_equal(got, want)
 
@@ -307,9 +308,9 @@ def test_index_runs_while_first_windows_are_narrower_than_eta(k, n, indexed):
     rng = np.random.default_rng(0)
     train_x = rng.standard_normal((n, 3))
     index = ProxyIndex(train_x, np.eye(3)[:1], np.zeros(n, dtype=np.intp))
-    with mock.patch.object(estimator, "_indexed_picks", wraps=estimator._indexed_picks) as walk:
-        estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, 0.5)
-        estimator._neighbour_means(train_x[:5], train_x, np.zeros(n), [k], index, math.inf)
+    with mock.patch.object(search, "_indexed_picks", wraps=search._indexed_picks) as walk:
+        search.neighbour_means(index, train_x[:5], np.zeros(n), [k], 0.5)
+        search.neighbour_means(index, train_x[:5], np.zeros(n), [k], math.inf)
     assert walk.call_count == 2 * int(indexed)
 
 
@@ -317,7 +318,7 @@ def test_index_runs_while_first_windows_are_narrower_than_eta(k, n, indexed):
                                         (100, 16384, 512), (323, 16384, 1292),
                                         (1023, 16384, 4092)])
 def test_walk_bound_is_n_over_32_or_4_rows_per_neighbour(k, n, rows):
-    assert estimator._walk_rows(k, n) == rows
+    assert search._walk_rows(k, n) == rows
 
 
 def test_queries_whose_windows_outgrow_the_bound_leave_the_walk():
@@ -331,9 +332,9 @@ def test_queries_whose_windows_outgrow_the_bound_leave_the_walk():
     q_sq = np.einsum("md,md->m", queries, queries)
     c_sq = np.einsum("nd,nd->n", x, x)
     proj = queries @ index.vectors.T
-    slab = estimator._slab(index, 0.2, q_sq, float(c_sq.max()), 2)
+    slab = search._slab(index, 0.2, q_sq, float(c_sq.max()), 2)
     for bound, left in ((8, [0, 1]), (64, [1])):
-        _, _, rest = estimator._indexed_picks(index, gram, q_sq, c_sq, proj, 0.2, 16, slab, bound)
+        _, _, rest = search._indexed_picks(index, gram, q_sq, c_sq, proj, 0.2, 16, slab, bound)
         assert sorted(rest) == left
 
 
