@@ -352,9 +352,15 @@ def baseline_linreg(data: Dataset) -> tuple[np.ndarray, float]:
 
 
 def linreg_predict(weights, intercept: float, queries) -> np.ndarray:
+    """``queries @ weights + intercept``; a prediction that overflows
+    raises ``DataError``."""
     weights = np.asarray(weights, dtype=np.float64)
     xs = _as_queries(queries, weights.shape[0])
-    return xs @ weights + intercept
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = xs @ weights + intercept
+    if not np.isfinite(preds).all():
+        raise DataError("non-finite least-squares prediction: queries or weights too large")
+    return preds
 
 
 def eta_to_json(eta: float):

@@ -95,11 +95,12 @@ def fit_tangents(
     ``rank_tol``, then a degenerate or non-finite direction.
     """
     j_count = partition.n_groups
+    d = data.d
     counts = np.array([len(idx) for idx in partition.groups], dtype=np.intp)
     # stop at the first level set that fails before the solve (too small or
     # a non-finite covariance); the level sets ahead of it are solved first,
     # since a degenerate direction among them takes precedence
-    small = np.flatnonzero(counts < data.d + 1)
+    small = np.flatnonzero(counts < d + 1)
     stop = int(small[0]) if small.size else j_count
     means_x, means_y, sigmas, rs = centred_moments(
         data.features, data.responses, partition.groups[:stop]
@@ -121,9 +122,9 @@ def fit_tangents(
             if norms[j] < DEGENERATE_NORM:
                 raise InfeasibleFitError(f"degenerate regression direction in level set {j}")
     if stop < j_count:
-        if counts[stop] < data.d + 1:
+        if counts[stop] < d + 1:
             raise InfeasibleFitError(
-                f"level set {stop} too small (need >= {data.d + 1} samples, got {counts[stop]})"
+                f"level set {stop} too small (need >= {d + 1} samples, got {counts[stop]})"
             )
         pseudo_inverse(sigmas[stop], rank_tol)  # raises: this covariance is not finite
 

@@ -125,7 +125,8 @@ class TestIngest:
 
     @pytest.mark.parametrize(
         "column, want",
-        [("0,1.8961503816218355e+154", [-1.0, 1.0]), ("0,5e-324,1e-323", [-1.5**0.5, 0.0, 1.5**0.5])],
+        [("0,1.8961503816218355e+154", [-1.0, 1.0]),
+         ("0,5e-324,1e-323", [-(1.5**0.5), 0.0, 1.5**0.5])],
         ids=["std-overflows", "std-underflows"],
     )
     def test_standardize_scales_a_column_whose_std_leaves_the_float_range(
@@ -866,6 +867,9 @@ def _model_text(d: int) -> str:
 @example(text="a,a,a\n0.0,0.0,2.6745302977060815e-182\n0.0,0,1\n0,0.0,0")
 # the std of a column holding 0 and 1.9e154 overflowed, and --standardize zeroed it
 @example(text="a,a,a\n0.0,0.0,-0\n0.0,1.8961503816218355e+154,0.0")
+# the least-squares baseline's prediction for a row near 1.5e50 overflowed
+@example(text="a,a\n0.0,0\n0,0.0\n0,4.692104440359966e+258\n1,0.0\n1.53252610440564e+50,0.0\n"
+              "0.0,0.0")
 def test_fuzzed_csv_through_every_command_exits_with_a_code(tmp_path_factory, text):
     tmp = tmp_path_factory.getbasetemp()
     data = tmp / "fuzzed.csv"
