@@ -13,7 +13,10 @@ when seed + trace is even.  It keeps the last two stdout lines of each run
 (the report and the result line) and writes, per workload and trace mode,
 the median, q1 and q3 (``statistics.quantiles``, n = 4, inclusive) of every
 metric of the result line, with ``raw_wall_s`` and ``raw_setup_s`` from the
-report beside them, and the claim verdict of every metric.
+report beside them, and the claim verdict of every metric.  Each run's
+median probe time (the median of the report's ``probe_medians``) goes in as
+``probe_median_s`` with its quartiles and no verdict: a timing scaled by the
+probe can move with the probe's speed alone.
 
 A claim holds when the change is better in at least nine tenths of the
 pairs (ties count for neither side) and the medians differ, in the change's
@@ -39,6 +42,7 @@ from pathlib import Path
 
 RAW = ("raw_wall_s", "raw_setup_s")  # scaled only in the report; lower is better
 SCALED = {"raw_wall_s": "wall_s", "raw_setup_s": "setup_s"}
+PROBE = "probe_median_s"  # no nsim code runs in the probe, so it gets no verdict
 SIDES = ("parent", "change")
 
 
@@ -51,10 +55,13 @@ def parse_run(stdout: str) -> dict:
 
 
 def run_metrics(run: dict) -> dict:
-    """Every metric of the result line plus the raw timings of the report."""
+    """Every metric of the result line plus the raw timings and the median
+    probe time of the report."""
     values = {name: m["value"] for name, m in run["result"]["metrics"].items()}
     report = run["report"]["report"]
     values.update({name: report[name] for name in RAW if name in report})
+    if run["report"].get("probe_medians"):
+        values[PROBE] = statistics.median(run["report"]["probe_medians"])
     return values
 
 
@@ -107,16 +114,20 @@ def verdict(parent, change, better: str, bound: float | None = None) -> dict:
 
 def summarize(pairs: list, directions: dict, bounds: dict) -> dict:
     """Per metric, the verdict over ``pairs`` of {side: metrics}, with the
-    no-regression verdict where ``bounds`` has the metric; metrics that some
-    run lacks or whose direction is unknown are left out."""
+    no-regression verdict where ``bounds`` has the metric, and the quartiles
+    of each side's probe times; metrics that some run lacks or whose
+    direction is unknown are left out."""
     names = set.intersection(*(set(pair[side]) for pair in pairs for side in SIDES))
-    return {
+    out = {
         name: verdict([pair["parent"][name] for pair in pairs],
                       [pair["change"][name] for pair in pairs], directions[name],
                       bounds.get(name))
         for name in sorted(names)
         if name in directions
     }
+    if PROBE in names:
+        out[PROBE] = {side: quartiles([pair[side][PROBE] for pair in pairs]) for side in SIDES}
+    return out
 
 
 def directions(spec: dict) -> dict:
@@ -198,6 +209,9 @@ def main(argv=None) -> int:
                           f"change {v['change']['median']:.6g} better {v['change_better']}/"
                           f"{v['parent']['n']} claim {v['claim_holds']} "
                           f"regression {v.get('regression')}")
+            if PROBE in metrics:
+                print(f"{workload:15s} {mode} {PROBE} parent {metrics[PROBE]['parent']['median']:.6g}"
+                      f" change {metrics[PROBE]['change']['median']:.6g}")
     failed = sum(not r["correct"] for r in runs)
     print(f"runs {len(runs)}, not correct {failed}")
     return 1 if failed else 0

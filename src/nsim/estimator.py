@@ -412,39 +412,43 @@ _MODEL_KEYS = (
     "partition_kind", "intervals", "tangents", "level_means_x", "level_means_y", "counts",
     "tangent_assignment", "train_features", "train_responses", "k", "eta",
 )
-_NUMBER_KEYS = (
-    "version", "k", "eta", "tangents", "level_means_x", "level_means_y", "counts",
-    "tangent_assignment", "train_features", "train_responses",
-)
+# the keys that hold numbers, each with the depth of its lists
+_NUMBER_DEPTHS = {
+    "version": 0, "k": 0, "eta": 0, "intervals": 2, "tangents": 2, "level_means_x": 2,
+    "level_means_y": 1, "counts": 1, "tangent_assignment": 1, "train_features": 2,
+    "train_responses": 1,
+}
+_JSON_KINDS = {bool: "boolean", str: "string", type(None): "null", list: "array", dict: "object"}
 
 
-def _holds_boolean(value) -> bool:
-    """Whether ``value``, one of its entries or an entry of one of them is a
-    JSON boolean, which a float or integer cast would read as 0 or 1."""
-    if not isinstance(value, list):
-        return isinstance(value, bool)
-    nested = [entry for entry in value if isinstance(entry, list)]
-    return bool in map(type, itertools.chain(value, *nested))
+def _entry_types(value, depth: int) -> set:
+    """The types of the entries ``depth`` lists deep in ``value``."""
+    entries = [value]
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return set(map(type, entries))
 
 
 def model_from_dict(doc: dict) -> FittedNsim:
     """Rebuild a model from its JSON document.
 
-    Groups are reconstructed from the tangent assignment, each in ascending
-    index order (``member_groups``); for split models they index the
-    retained prediction half rather than the discarded geometry half.
-    A document raises ``DataError`` when it has a missing
-    key, intervals that are reversed or not contiguous, a tangent matrix
-    that is not J x D or has a row off unit norm by more than 1e-9, level
-    means or counts not sized for J level sets, an assignment that does not
-    give every training row a level set in [0, J), a fraction or a number
-    past the ``intp`` range where k, the counts or the assignment need whole
-    numbers, k < 1, eta <= 0, a JSON boolean where a number belongs (the
-    version, k, eta, an interval bound or an entry of a number list), an
-    interval whose closed flag is not a boolean, or a ``partition_kind`` or
-    ``algorithm`` that is not one of the known names.  Its own checks raise
-    their ``DataError`` as it is; a type the casts reject is reported as a
-    malformed document.
+    Groups are reconstructed from the tangent assignment in the fitted
+    order: an unsplit equiblock group by response, ties in ascending index
+    order, and any other group in ascending index order (``member_groups``);
+    for split models they index the retained prediction half rather than
+    the discarded geometry half.  A document raises ``DataError`` when it
+    has a missing key, intervals that are reversed or not contiguous, a
+    tangent matrix that is not J x D or has a row off unit norm by more than
+    1e-9, level means or counts not sized for J level sets, an assignment
+    that does not give every training row a level set in [0, J), counts of
+    an unsplit model that are not its level-set sizes, a fraction or a
+    number past the ``intp`` range where k, the counts or the assignment
+    need whole numbers, k < 1, eta <= 0, anything but a JSON number where a
+    number belongs (the version, k, eta other than "inf", an interval bound
+    or an entry of a number list), an interval whose closed flag is not a
+    boolean, or a ``partition_kind`` or ``algorithm`` that is not one of the
+    known names.  Its own checks raise their ``DataError`` as it is; a type
+    the casts reject is reported as a malformed document.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
@@ -454,11 +458,16 @@ def model_from_dict(doc: dict) -> FittedNsim:
     if missing:
         raise DataError(f"model document lacks {', '.join(missing)}")
     try:
-        numbers = {key: doc[key] for key in _NUMBER_KEYS}
+        numbers = {key: doc[key] for key in _NUMBER_DEPTHS}
         numbers["intervals"] = [interval[:2] for interval in doc["intervals"]]
-        for key, value in numbers.items():  # one scan of every number entry
-            if _holds_boolean(value):
-                raise DataError(f"model {key} holds a JSON boolean where a number belongs")
+        if isinstance(doc["eta"], str):  # "inf", read by _eta_from_json
+            del numbers["eta"]
+        for key, value in numbers.items():
+            # a cast would read a boolean as 0 or 1 and a string by its digits
+            strays = _entry_types(value, _NUMBER_DEPTHS[key]) - {int, float}
+            if strays:
+                kinds = " or ".join(sorted(_JSON_KINDS.get(t, t.__name__) for t in strays))
+                raise DataError(f"model {key} holds a JSON {kinds} where a number belongs")
         intervals = tuple(
             ResponseInterval(float(lo), float(hi), closed) for lo, hi, closed in doc["intervals"]
         )
@@ -479,9 +488,7 @@ def model_from_dict(doc: dict) -> FittedNsim:
         raise
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
-    if k.shape != ():
-        raise DataError(f"model k must be a single number, got shape {k.shape}")
-    k = int(k)
+    k = int(k)  # a JSON number, so one whole number
     if k < 1:
         raise DataError(f"model k must be >= 1, got {k}")
     if not eta > 0:
@@ -527,8 +534,19 @@ def model_from_dict(doc: dict) -> FittedNsim:
         )
     if assignment.min() < 0 or assignment.max() >= j_count:
         raise DataError(f"tangent_assignment entries must lie in [0, {j_count})")
+    sizes = np.bincount(assignment, minlength=j_count)
+    if algorithm == "unsplit" and not np.array_equal(tangents.counts, sizes):
+        raise DataError(
+            f"counts {tangents.counts.tolist()} do not match the level-set sizes "
+            f"{sizes.tolist()} of tangent_assignment"
+        )
+    if algorithm == "unsplit" and partition_kind == "equiblock":
+        # the fit lists a block by response, ties by index: lexsort is stable
+        groups = tuple(np.split(np.lexsort((train.responses, assignment)), np.cumsum(sizes)[:-1]))
+    else:
+        groups = member_groups(assignment, j_count)
     return FittedNsim(
-        partition=ResponsePartition(intervals, member_groups(assignment, j_count)),
+        partition=ResponsePartition(intervals, groups),
         tangents=tangents,
         train=train,
         k=k,

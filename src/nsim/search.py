@@ -17,20 +17,22 @@ prefix sum would differ in the last bits).  A non-finite average raises
 
 A search that reads Euclidean distances (no tangent vectors, or a finite
 eta) computes each query chunk's q.x block once, O(N D) per query, into one
-scratch buffer; a proxy search at eta infinite computes none.  With tangent
-vectors and 16 max(ks) < N, the sorted-offset walk (``_indexed_picks``,
-Dynamic Continuous Indexing after Li and Malik, 2016, with the metric as the
-projection) costs O(J log N) per doubling of its windows, plus a proxy
-distance (and at a finite eta a radius test) for each row that enters them,
-plus one partial selection per doubling and one sort of the k nearest: on
-the perfbench helix at eta = 0.5 about 23 rows per walked query for k = 1,
-125 for k = 32 and 1000 for k = 323.  At eta infinite it is a merge of the J
-sorted offset lists, O(J log N + k) per query when the offsets are spread
-evenly.  One loop ranks every query the walk does not settle, O(N) each, by
-``_smallest`` over one row of distances: the expanded Euclidean row, whose
-in-radius rows it ranks by proxy distance at a finite eta (with none, it
-takes the Euclidean-nearest), or at eta infinite the proxy distances to all
-N rows.  The walk and the loop pick the same rows from the same bits.
+scratch buffer; a proxy search at eta infinite computes none.  A proxy search
+walks the sorted-offset index (``_indexed_picks``, Dynamic Continuous
+Indexing after Li and Malik, 2016, with the metric as the projection): O(J
+log N) per doubling of its windows, plus a proxy distance (and at a finite
+eta a radius test) for each row that enters them, plus one partial selection
+per doubling and one sort of the k nearest.  At eta infinite every row is in
+the radius and the walk is the whole search, a merge of the J sorted offset
+lists, O(J log N + k) per query when the offsets are spread evenly.  At a
+finite eta it runs while 16 max(ks) < N, and reads about 23 rows per walked
+query for k = 1, 125 for k = 32 and 1000 for k = 323 on the perfbench helix
+at eta = 0.5.  One loop ranks every query a Euclidean read leaves to it,
+O(N) each, by ``_smallest`` over the expanded Euclidean row: the kNN
+baseline, and at a finite eta the queries the walk does not settle, whose
+in-radius rows it ranks by proxy distance (with none, it takes the
+Euclidean-nearest).  The walk and the loop pick the same rows from the same
+bits.
 """
 
 from __future__ import annotations
@@ -42,20 +44,24 @@ import numpy as np
 
 from .errors import DataError
 
-_CHUNK_BUDGET = 4_000_000  # floats per (queries x candidates) scratch block
+_CHUNK_BUDGET = 4_000_000  # floats per query chunk's scratch blocks
 
-# A proxy search walks the sorted-offset index while 16 max(ks) < N (at a
-# finite eta, while its first windows, 16 k / N of eta wide, are narrower than
-# eta), and a query leaves the walk for the loop once its windows would hold
-# more than max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
-# (``_walk_rows``).  At eta infinite, where every row is in the radius, the
-# walk took 0.04-0.43 of the loop's time with J = 8 and 0.09-0.25 with
-# J = 364, for k from 1 to 1000 on the helix and on Gaussian features
-# (``rule_table`` in BENCH_6.json).  At a finite eta, search time over the
-# loop's, by the bound on a query's rows (median of 7 paired ratios; 2 cores,
-# OpenBLAS on one thread; the perfbench helix, D = 12, N = 16384, J = 8,
-# eta = 0.5, 2000 queries in batches of 50, 10% off the tube; "split" is
-# fit_split's k = 1 search on N = 8192, J = 16):
+# At a finite eta a proxy search walks the sorted-offset index while its
+# first windows, 16 max(ks) / N of eta wide, are narrower than eta, and a
+# query leaves the walk for the loop once its windows would hold more than
+# max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
+# (``_walk_rows``).  At eta infinite the walk has no such bound and no query
+# leaves it.  Against the loop that ranked every row there before, it took
+# 0.04-0.43 of the loop's time with J = 8 and 0.09-0.25 with J = 364, for k
+# from 1 to 1000 on the helix and on Gaussian features (``rule_table`` in
+# BENCH_6.json); for larger k (1000 queries on the helix, best of 5 to 15
+# runs, 2 cores) 0.33-0.43 at k = N / 16 and 0.74-0.93 at k from N / 4 to N
+# for N = 16384, D = 12, J = 8, but 1.0-1.9 (a few ms) at those k for
+# N = 300 and 600.  At a finite eta, search time over the loop's, by the
+# bound on a query's rows (median of 7 paired ratios; 2 cores, OpenBLAS on
+# one thread; the perfbench helix, D = 12, N = 16384, J = 8, eta = 0.5, 2000
+# queries in batches of 50, 10% off the tube; "split" is fit_split's k = 1
+# search on N = 8192, J = 16):
 #
 #   bound             split  k=1   k=32  k=64  k=128 k=323 k=1024 k=2048
 #   N/32              0.23   0.65  0.55  0.54  0.56  1.03  0.99   1.02
@@ -78,8 +84,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _MAX_RADIUS = float(np.finfo(np.float64).max) / 4  # a radius that doubles stays finite
 
 
-def _query_chunks(n_queries: int, n_candidates: int):
-    step = max(1, _CHUNK_BUDGET // max(1, n_candidates))
+def _query_chunks(n_queries: int, per_query: int):
+    step = max(1, _CHUNK_BUDGET // max(1, per_query))
     for start in range(0, n_queries, step):
         yield start, min(start + step, n_queries)
 
@@ -169,16 +175,15 @@ def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.nd
 
 def _walk_rows(k_max: int, n: int) -> int:
     """The rows a query's windows may hold before it leaves the
-    sorted-offset walk for the loop; 0 when the walk does not run, at
-    16 k >= N (at a finite eta, its first windows, 16 k / N of eta, would
-    be no narrower than eta)."""
+    sorted-offset walk for the loop at a finite eta; 0 when the walk does
+    not run, at 16 k >= N, where its first windows, 16 k / N of eta, would
+    be no narrower than eta."""
     if 16 * k_max >= n:
         return 0
     return max(n // _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * k_max)
 
 
-def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max: int, slab,
-                   bound: int):
+def _indexed_picks(index: ProxyIndex, gram, q_sq, proj, eta: float, k_max: int, slab, bound: int):
     """(picks, takes, rest): the first ``takes[i]`` entries of ``picks[i]``
     are the rows the loop picks for query i, in its order, except for the
     queries in ``rest``, left to the loop.
@@ -188,16 +193,17 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max:
     take their radius test and proxy distances from ``gram`` (the chunk's
     q.x block) and ``proj`` as the loop does, and the in-radius ones are
     kept, one row of a block per query.  At eta infinite every row is in
-    the radius: ``gram``, ``q_sq`` and ``c_sq`` are None, ``slab`` is
-    infinite, and the walk is a merge of the J sorted offset lists.  The
-    query is settled once its k-th in-radius distance lies below every row
-    left out, or every row left out lies beyond its ``slab`` bound and so
-    cannot pass the radius test, or the windows hold every row; until then
-    r doubles and only the rows new to the windows are gathered.  Both
+    the radius: ``gram`` and ``q_sq`` are None, ``slab`` is infinite, and
+    the walk is a merge of the J sorted offset lists.  The query is settled
+    once its k-th in-radius distance lies below every row left out, or every
+    row left out lies beyond its ``slab`` bound and so cannot pass the
+    radius test, or the windows hold every row; until then r doubles and
+    only the rows new to the windows are gathered.  Both
     checks read the nearest left-out row on each side of each window, which
     no row further out in offset order undercuts, so ties at the k-th place
     are gathered whole.  A query whose windows would hold more than
-    ``bound`` rows joins ``rest``.
+    ``bound`` rows joins ``rest``; with a ``bound`` of N, at eta infinite,
+    none does.
     """
     m, n_sets = proj.shape
     n = index.offsets.shape[0]
@@ -249,8 +255,8 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, c_sq, proj, eta: float, k_max:
         passed = np.cumsum(fresh)
         if gram is not None:  # the radius test, as the loop takes it
             at = np.repeat(todo * n, fresh) + rows
-            inside = ~(_expanded_sq(gram.ravel()[at], np.repeat(q_sq[todo], fresh), c_sq[rows])
-                       > eta * eta)
+            inside = ~(_expanded_sq(gram.ravel()[at], np.repeat(q_sq[todo], fresh),
+                                    index.row_sq[rows]) > eta * eta)
             rows = rows[inside]
             passed = np.concatenate(([0], np.cumsum(inside)))[passed]
         added = passed - np.concatenate(([0], passed[:-1]))
@@ -342,12 +348,15 @@ def neighbour_means(index: ProxyIndex, queries, values, ks, eta: float = math.in
     k_max = max(ks)
     out = np.empty((len(ks), queries.shape[0]))
     proxy = index.vectors is not None
-    clipped = proxy and not math.isinf(eta)
-    euclidean = not proxy or clipped
-    bound = _walk_rows(k_max, n) if proxy else 0
-    cand_sq = index.row_sq if euclidean else None
+    euclidean = not proxy or not math.isinf(eta)
+    clipped = proxy and euclidean
+    # at eta infinite every row is in the radius, so the walk settles every query
+    bound = _walk_rows(k_max, n) if clipped else n if proxy else 0
     scratch = gram = q_sq = None
-    for start, stop in _query_chunks(queries.shape[0], n):
+    # per query, a Euclidean read holds N distances; the walk at eta infinite
+    # holds a block of distances and rows that grows with max(ks) up to N
+    # wide, so its chunks shrink as max(ks) grows
+    for start, stop in _query_chunks(queries.shape[0], n if euclidean else n + 4 * k_max):
         block = queries[start:stop]
         m = stop - start
         if proxy:
@@ -360,24 +369,22 @@ def neighbour_means(index: ProxyIndex, queries, values, ks, eta: float = math.in
         if bound:
             # at a finite eta the walk reads q.x as it is; only the rows it leaves are expanded
             slab = _slab(index, eta, q_sq, index.row_sq_max, d) if clipped else np.full(m, eta)
-            picks, takes, rest = _indexed_picks(
-                index, gram, q_sq, cand_sq, proj, eta, k_max, slab, bound
-            )
+            picks, takes, rest = _indexed_picks(index, gram, q_sq, proj, eta, k_max, slab, bound)
         else:
             picks = np.empty((m, min(k_max, n)), dtype=np.intp)
             takes, rest = np.empty(m, dtype=np.intp), slice(None)  # a view: expanded in place
-        dist = (_expanded_sq(gram[rest], q_sq[rest, None], cand_sq) if euclidean
-                else np.abs(proj[rest][:, index.assignment] - index.offsets))
-        for i, row in zip(np.arange(m)[rest], dist):
-            if clipped:
-                cand = np.flatnonzero(~(row > eta * eta))  # ascending index order
-                near = np.abs(proj[i][index.assignment[cand]] - index.offsets[cand])
-                chosen = cand[_smallest(near, k_max)] if cand.size else _smallest(row, 1)
-            else:
-                chosen = _smallest(row, k_max)
-            picks[i, : chosen.size] = chosen
-            takes[i] = chosen.size
-        del dist  # free the distance block before the gathers
+        if euclidean:
+            dist = _expanded_sq(gram[rest], q_sq[rest, None], index.row_sq)
+            for i, row in zip(np.arange(m)[rest], dist):
+                if clipped:
+                    cand = np.flatnonzero(~(row > eta * eta))  # ascending index order
+                    near = np.abs(proj[i][index.assignment[cand]] - index.offsets[cand])
+                    chosen = cand[_smallest(near, k_max)] if cand.size else _smallest(row, 1)
+                else:
+                    chosen = _smallest(row, k_max)
+                picks[i, : chosen.size] = chosen
+                takes[i] = chosen.size
+            del dist  # free the distance block before the gathers
         _average_picks(values, picks, takes, ks, out[:, start:stop])
     if not np.isfinite(out).all():
         raise DataError("non-finite neighbour average: responses too large in magnitude")

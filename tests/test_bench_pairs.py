@@ -12,9 +12,11 @@ pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pairs)
 
 
-def canned_stdout(wall_s, raw_wall_s, rss=150.0):
+def canned_stdout(wall_s, raw_wall_s, rss=150.0, probes=None):
     report = {"env": {"seed": 1}, "report": {"wall_s": wall_s, "raw_wall_s": raw_wall_s,
                                              "raw_setup_s": 0.3, "passes": 48}}
+    if probes is not None:
+        report["probe_medians"] = probes
     result = {"correct": True, "attempted": 576, "failed": 0,
               "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
                           "peak_rss_mb": {"value": rss, "unit": "MB"}}}
@@ -80,6 +82,23 @@ def test_summary_over_pairs_of_canned_runs():
     assert summary["wall_s"]["change"] == {"median": 0.21, "q1": 0.21, "q3": 0.21, "n": 10}
 
 
+def test_probe_medians_reach_the_pair_record_and_the_summary_without_a_verdict():
+    run = pairs.parse_run(canned_stdout(0.21, 0.30, probes=[0.0064, 0.0031, 0.0035]))
+    assert pairs.run_metrics(run)["probe_median_s"] == 0.0035
+    # the probe at two speeds: the scaled wall_s halves while raw_wall_s holds
+    runs = [{"parent": pairs.run_metrics(pairs.parse_run(canned_stdout(p, 0.3, probes=[0.0033]))),
+             "change": pairs.run_metrics(pairs.parse_run(canned_stdout(p / 2, 0.3,
+                                                                       probes=[0.0066])))}
+            for p in PARENT]
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}], "per_layer": []}
+    summary = pairs.summarize(runs, pairs.directions(spec), pairs.bounds(spec))
+    assert summary["probe_median_s"] == {
+        "parent": {"median": 0.0033, "q1": 0.0033, "q3": 0.0033, "n": 10},
+        "change": {"median": 0.0066, "q1": 0.0066, "q3": 0.0066, "n": 10},
+    }
+    assert summary["wall_s"]["claim_holds"] and not summary["raw_wall_s"]["claim_holds"]
+
+
 def test_seed_ranges():
     assert pairs.parse_seeds("401-405") == [401, 402, 403, 404, 405]
     assert pairs.parse_seeds("1,2,5") == [1, 2, 5]
@@ -126,7 +145,8 @@ def test_main_prints_the_regression_verdict(capsys, tmp_path, monkeypatch):
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
     walls = {"parent": 0.28, "change": 0.40}
     monkeypatch.setattr(pairs, "perfbench", lambda checkout, workload, seed, trace: pairs.parse_run(
-        canned_stdout(walls[checkout.name], walls[checkout.name] + 0.1)))
+        canned_stdout(walls[checkout.name], walls[checkout.name] + 0.1,
+                      probes=[walls[checkout.name] / 100])))
     code = pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                        "--workload", "fit-sweep", "--seeds", "1-3", "--out",
                        str(tmp_path / "pairs.json")])
@@ -134,5 +154,7 @@ def test_main_prints_the_regression_verdict(capsys, tmp_path, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     wall = [line for line in lines if " wall_s " in line]
     assert len(wall) == 1 and wall[0].endswith("claim False regression regressed")
+    assert [line.split()[2:] for line in lines if "probe_median_s" in line] == [
+        ["probe_median_s", "parent", "0.0028", "change", "0.004"]]
     out = json.loads((tmp_path / "pairs.json").read_text())
     assert out["summary"]["fit-sweep"]["trace0"]["raw_wall_s"]["regression"] == "regressed"

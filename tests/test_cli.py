@@ -416,6 +416,22 @@ MODEL_CORRUPTIONS = {
     "features-entry-boolean": lambda doc: doc["train_features"][0].__setitem__(0, False),
     "assignment-entry-boolean": lambda doc: _set_first_assignment(doc, True),
     "interval-bound-boolean": lambda doc: doc["intervals"][0].__setitem__(0, False),
+    # strings of numbers used to load by their digits
+    "k-string": lambda doc: doc.update(k=str(doc["k"])),
+    "features-row-strings": lambda doc: doc["train_features"].__setitem__(
+        0, [repr(v) for v in doc["train_features"][0]]
+    ),
+    "responses-entry-string": lambda doc: doc["train_responses"].__setitem__(
+        0, repr(doc["train_responses"][0])
+    ),
+    "assignment-entry-string": lambda doc: _set_first_assignment(
+        doc, str(doc["tangent_assignment"][0])
+    ),
+    "tangents-entry-string": lambda doc: doc["tangents"][0].__setitem__(
+        0, repr(doc["tangents"][0][0])
+    ),
+    # counts that are not the level-set sizes of the assignment
+    "counts-not-level-set-sizes": lambda doc: doc.update(counts=[1] * len(doc["counts"])),
 }
 
 

@@ -201,6 +201,7 @@ def _axis_model(draw, features, responses, k, eta):
     vectors = np.zeros((j_count, d))
     for j in range(j_count):
         vectors[j, draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    assignment = draw(st.lists(st.integers(0, j_count - 1), min_size=n, max_size=n))
     doc = {
         "version": 1,
         "partition_kind": "dyadic",
@@ -208,10 +209,8 @@ def _axis_model(draw, features, responses, k, eta):
         "tangents": vectors.tolist(),
         "level_means_x": np.zeros((j_count, d)).tolist(),
         "level_means_y": [0.0] * j_count,
-        "counts": [0] * j_count,
-        "tangent_assignment": draw(
-            st.lists(st.integers(0, j_count - 1), min_size=n, max_size=n)
-        ),
+        "counts": np.bincount(assignment, minlength=j_count).tolist(),
+        "tangent_assignment": assignment,
         "train_features": features.tolist(),
         "train_responses": list(responses),
         "k": k,
@@ -313,9 +312,9 @@ def test_neighbour_search_matches_brute_force_with_ties(problem):
 
 
 def walk_the_index():
-    """Send every proxy search, at a finite eta or at eta infinite, through
-    the sorted-offset index, and let no query leave it for the loop on
-    window size."""
+    """Send every proxy search at a finite eta through the sorted-offset
+    index, as every one at eta infinite goes, and let no query leave it for
+    the loop on window size."""
     return mock.patch.object(search, "_walk_rows", lambda k_max, n: n)
 
 
@@ -778,21 +777,22 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", ["dyadic", "equiblock"])
     def test_saved_model_reloads_its_groups(self, tmp_path, kind):
-        geometry, _ = synth(n=300, seed=61, c=0.1)
+        smooth, _ = synth(n=300, seed=61, c=0.1)
         prediction, _ = synth(n=200, seed=62, c=0.1)
-        plain = fit(geometry, 7, 2, eta=0.5, partition_kind=kind)
-        split = fit_split(geometry, prediction, 7, 2, eta=0.5, partition_kind=kind)
-        # a loaded model lists each group in ascending index order, where an
-        # equiblock fit lists it by response; a split model's groups index
-        # the prediction half it keeps
-        plain_groups = [np.sort(idx) for idx in plain.partition.groups]
-        split_groups = [np.flatnonzero(split.tangent_assignment == j) for j in range(7)]
-        for model, groups in ((plain, plain_groups), (split, split_groups)):
-            save_model(tmp_path / "model.json", model)
-            restored = load_model(tmp_path / "model.json").partition.groups
-            assert len(restored) == len(groups)
-            for mine, expected in zip(restored, groups):
-                assert mine.dtype == np.intp and np.array_equal(mine, expected)
+        # responses on a coarse grid: runs of equal responses in every group
+        tied = Dataset(smooth.features, np.round(smooth.responses, 2))
+        for geometry in (smooth, tied):
+            plain = fit(geometry, 7, 2, eta=0.5, partition_kind=kind)
+            split = fit_split(geometry, prediction, 7, 2, eta=0.5, partition_kind=kind)
+            # a loaded model lists each group as the fit did; a split model's
+            # groups index the prediction half it keeps, in ascending order
+            split_groups = [np.flatnonzero(split.tangent_assignment == j) for j in range(7)]
+            for model, groups in ((plain, plain.partition.groups), (split, split_groups)):
+                save_model(tmp_path / "model.json", model)
+                restored = load_model(tmp_path / "model.json").partition.groups
+                assert len(restored) == len(groups)
+                for mine, expected in zip(restored, groups):
+                    assert mine.dtype == np.intp and np.array_equal(mine, expected)
 
     def test_indented_model_file_loads_and_predicts_bit_identically(self, tmp_path):
         model = fit(synth(n=120, seed=60, c=0.1)[0], 3, 2, eta=0.5)

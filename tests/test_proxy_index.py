@@ -10,6 +10,7 @@ queries off the tube.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -52,9 +53,9 @@ def radius_first_means(queries, train_x, values, ks, vectors, assignment, eta):
 
 
 def indexed_means(queries, values, ks, index, eta, bound=None):
-    """``neighbour_means`` with the index forced on; a query leaves the walk
-    for the loop once its windows would hold more than ``bound`` rows (None:
-    no query leaves)."""
+    """``neighbour_means`` with the index forced on; at a finite eta a query
+    leaves the walk for the loop once its windows would hold more than
+    ``bound`` rows (None: no query leaves), and at eta infinite none does."""
     with (
         mock.patch.object(search, "_walk_rows", lambda k_max, n: bound or n),
         mock.patch.object(
@@ -93,8 +94,8 @@ def shifted_helix_problems(draw):
     off it (radius 0.6 and 1.0) and far from it, so short-of-k queries and
     Euclidean fallbacks occur, and within 2 eta of training rows, where the
     expanded radius test rounds either way (at eta infinite, within 2 of
-    them).  The k grids reach N / 8 and N / 2, so windows outgrow a bound of
-    32 rows and queries leave the walk."""
+    them).  The k grids reach N / 8, N / 2, N and N + 3; at a finite eta
+    windows outgrow a bound of 32 rows and queries leave the walk."""
     d = draw(st.integers(4, 8))
     n_base = draw(st.integers(30, 130))
     seed = draw(st.integers(0, 2**16))
@@ -115,7 +116,8 @@ def shifted_helix_problems(draw):
         model = fit(shifted, j_count, 1, eta, "equiblock")
     except InfeasibleFitError:
         model = fit(shifted, 1, 1, eta)
-    ks = draw(st.sampled_from([[1], [1, 4, 32], [1, train.n // 8], [train.n // 2, 3]]))
+    ks = draw(st.sampled_from([[1], [1, 4, 32], [1, train.n // 8], [train.n // 2, 3], [train.n],
+                               [train.n + 3, 1]]))
     budget = draw(st.sampled_from([1, 7, search._CHUNK_BUDGET]))
     bound = draw(st.sampled_from([None, 32]))
     return model, queries + shift, ks, budget, bound
@@ -286,6 +288,31 @@ def test_walk_over_offsets_without_spread_ends_and_matches_the_loop(eta, bound, 
         assert np.array_equal(got, want)
 
 
+def test_search_at_k_n_holds_less_than_the_loop_it_replaced():
+    """At eta infinite with k = N every query takes the walk, whose block
+    grows to N rows per query, so the query chunk shrinks with max(ks): the
+    traced peak stays under three blocks of ``_CHUNK_BUDGET`` floats.  The
+    per-row loop that took such calls before held more than four (the proxy
+    distances to every row, their difference before the abs, and the picks),
+    and the walk in chunks sized for N alone more than ten."""
+    data = helix(4, 1024, 3, 0.25, noise=0.1)
+    model = fit(data, 4, 1)
+    queries = helix(4, 200, 4, 0.3).features
+    index, budget = model.proxy_index, 32768
+    index.sorted  # the index keeps its own arrays between searches
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget):
+        tracemalloc.start()
+        try:
+            got = search.neighbour_means(index, queries, data.responses, [1024], math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = radius_first_means(queries, data.features, data.responses, [1024],
+                                  model.tangents.vectors, model.tangent_assignment, math.inf)
+    assert np.array_equal(got, want)
+    assert peak < 3 * 8 * budget
+
+
 def test_walk_whose_first_windows_round_to_zero_ends_and_matches_the_loop():
     """At eta = 5e-324, 16 k / N of eta rounds to 0, and a window of width 0
     would never grow by doubling."""
@@ -304,14 +331,23 @@ def test_walk_whose_first_windows_round_to_zero_ends_and_matches_the_loop():
                                            (32, 513, True), (323, 16384, True),
                                            (1024, 16384, False)])
 def test_index_runs_while_first_windows_are_narrower_than_eta(k, n, indexed):
-    """The same switch at a finite eta and at eta infinite."""
+    """At a finite eta; at eta infinite the walk is the whole search, for
+    every k, and no query leaves it."""
     rng = np.random.default_rng(0)
     train_x = rng.standard_normal((n, 3))
     index = ProxyIndex(train_x, np.eye(3)[:1], np.zeros(n, dtype=np.intp))
-    with mock.patch.object(search, "_indexed_picks", wraps=search._indexed_picks) as walk:
+    real, rests = search._indexed_picks, []
+
+    def walk(*args):
+        out = real(*args)
+        rests.append(out[2])
+        return out
+
+    with mock.patch.object(search, "_indexed_picks", walk):
         search.neighbour_means(index, train_x[:5], np.zeros(n), [k], 0.5)
+        assert len(rests) == int(indexed)
         search.neighbour_means(index, train_x[:5], np.zeros(n), [k], math.inf)
-    assert walk.call_count == 2 * int(indexed)
+    assert len(rests) == int(indexed) + 1 and rests[-1].size == 0
 
 
 @pytest.mark.parametrize("k, n, rows", [(1, 17, 4), (1, 8192, 256), (32, 4096, 128),
@@ -334,7 +370,7 @@ def test_queries_whose_windows_outgrow_the_bound_leave_the_walk():
     proj = queries @ index.vectors.T
     slab = search._slab(index, 0.2, q_sq, float(c_sq.max()), 2)
     for bound, left in ((8, [0, 1]), (64, [1])):
-        _, _, rest = search._indexed_picks(index, gram, q_sq, c_sq, proj, 0.2, 16, slab, bound)
+        _, _, rest = search._indexed_picks(index, gram, q_sq, proj, 0.2, 16, slab, bound)
         assert sorted(rest) == left
 
 
