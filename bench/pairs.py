@@ -4,12 +4,14 @@ with the rule a performance claim must meet.
     python3 bench/pairs.py --parent ../p7 --change ../c7 --workload fit-sweep \\
         --seeds 401-410 --trace 0 --out pairs.json
 
-Both checkouts must hold ``perfbench/`` and ``BENCHMARK.json``; give them
-sibling directories whose names have the same length, since the length of
-the checkout path shows in fit-sweep's ``peak_rss_mb``.  For every workload, seed and trace mode (in that
-nesting) the script runs ``python3 perfbench/run.py --workload W --seed S
---trace T`` once in each checkout, one process at a time, the parent first
-when seed + trace is even.  It keeps the last two stdout lines of each run
+Both checkouts must hold ``perfbench/`` and ``BENCHMARK.json``, and their
+resolved paths must have the same length (sibling directories whose names
+have the same length), since the length of the checkout path shows in
+fit-sweep's ``peak_rss_mb``; the script exits before any run otherwise.
+For every workload, seed and trace mode (in that nesting) the script runs
+``python3 perfbench/run.py --workload W --seed S --trace T`` once in each
+checkout, one process at a time, the parent first when seed + trace is
+even.  It keeps the last two stdout lines of each run
 (the report and the result line) and writes, per workload and trace mode,
 the median, q1 and q3 (``statistics.quantiles``, n = 4, inclusive) of every
 metric of the result line, with ``raw_wall_s`` and ``raw_setup_s`` from the
@@ -173,6 +175,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
+        raise SystemExit(f"pairs: the checkout paths {checkouts['parent']} and "
+                         f"{checkouts['change']} differ in length; fit-sweep's peak_rss_mb "
+                         "would show it")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better, bound = directions(spec), bounds(spec)
 

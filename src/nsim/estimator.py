@@ -103,7 +103,7 @@ def fit(
         k=k,
         eta=eta,
         partition_kind=partition_kind,
-        tangent_assignment=partition.sample_groups(),
+        tangent_assignment=partition.member,
     )
 
 
@@ -126,8 +126,8 @@ def fit_split(
     one is used instead.  The search is prediction's neighbour average with
     k = 1 over the geometry half's level-set indices, whose one-sample
     average is the index itself.  As for ``fit``, J and k must be integers
-    >= 1 and eta positive or infinite.  The partition's groups index the
-    geometry half.
+    >= 1 and eta positive or infinite.  The partition's groups and members
+    index the geometry half.
     """
     if geometry_half.d != prediction_half.d:
         raise DataError(
@@ -367,14 +367,6 @@ def eta_to_json(eta: float):
     return "inf" if math.isinf(eta) else float(eta)
 
 
-def _eta_from_json(value) -> float:
-    if isinstance(value, str):
-        if value != "inf":
-            raise DataError(f"unrecognized eta encoding {value!r}")
-        return math.inf
-    return float(value)
-
-
 def model_to_dict(model: FittedNsim) -> dict:
     """JSON-ready model document; eta = infinity is encoded as the string
     "inf" because JSON has no infinity literal."""
@@ -397,26 +389,21 @@ def model_to_dict(model: FittedNsim) -> dict:
     }
 
 
-def _whole_numbers(values, name: str) -> np.ndarray:
-    """``values`` as an integer array; a fraction, a non-finite entry or one
-    past the ``intp`` range raises ``DataError`` instead of being truncated
-    or wrapped by the cast."""
-    arr = np.asarray(values, dtype=np.float64)
-    limit = float(np.iinfo(np.intp).max)  # 2^63 - 1 rounds up to 2^63
-    if not np.all((arr == np.trunc(arr)) & (np.abs(arr) < limit)):
-        raise DataError(f"model {name} must hold whole numbers below {limit:.3g} in magnitude")
-    return arr.astype(np.intp)
-
-
-_MODEL_KEYS = (
-    "partition_kind", "intervals", "tangents", "level_means_x", "level_means_y", "counts",
-    "tangent_assignment", "train_features", "train_responses", "k", "eta",
-)
-# the keys that hold numbers, each with the depth of its lists
-_NUMBER_DEPTHS = {
-    "version": 0, "k": 0, "eta": 0, "intervals": 2, "tangents": 2, "level_means_x": 2,
-    "level_means_y": 1, "counts": 1, "tangent_assignment": 1, "train_features": 2,
-    "train_responses": 1,
+# The numeric fields of the model document: the depth of each one's lists,
+# the kind of its entries (whole numbers within intp, or finite floats) and
+# its shape in J level sets, N training rows and D features.  A letter takes
+# its size from the first field that has it, so J is the count of intervals.
+_FIELDS = {
+    "version": (0, int, ()),
+    "k": (0, int, ()),
+    "intervals": (2, float, ("J", 2)),  # the bounds; the closed flags are checked below
+    "train_features": (2, float, ("N", "D")),
+    "train_responses": (1, float, ("N",)),
+    "tangents": (2, float, ("J", "D")),
+    "level_means_x": (2, float, ("J", "D")),
+    "level_means_y": (1, float, ("J",)),
+    "counts": (1, int, ("J",)),
+    "tangent_assignment": (1, int, ("N",)),
 }
 _JSON_KINDS = {bool: "boolean", str: "string", type(None): "null", list: "array", dict: "object"}
 
@@ -435,70 +422,75 @@ def model_from_dict(doc: dict) -> FittedNsim:
     Groups are reconstructed from the tangent assignment in the fitted
     order: an unsplit equiblock group by response, ties in ascending index
     order, and any other group in ascending index order (``member_groups``);
-    for split models they index the retained prediction half rather than
-    the discarded geometry half.  A document raises ``DataError`` when it
-    has a missing key, intervals that are reversed or not contiguous, a
-    tangent matrix that is not J x D or has a row off unit norm by more than
-    1e-9, level means or counts not sized for J level sets, an assignment
-    that does not give every training row a level set in [0, J), counts of
-    an unsplit model that are not its level-set sizes, a fraction or a
-    number past the ``intp`` range where k, the counts or the assignment
-    need whole numbers, k < 1, eta <= 0, anything but a JSON number where a
-    number belongs (the version, k, eta other than "inf", an interval bound
-    or an entry of a number list), an interval whose closed flag is not a
-    boolean, or a ``partition_kind`` or ``algorithm`` that is not one of the
-    known names.  Its own checks raise their ``DataError`` as it is; a type
+    for split models they and ``partition.member`` index the retained
+    prediction half rather than the discarded geometry half.
+
+    Each numeric field (``_FIELDS``) must hold JSON numbers, not booleans,
+    strings or null, at the depth of its lists, in the shape its row of the
+    table gives: whole numbers within the ``intp`` range where the row says
+    int, finite numbers where it says float.  On top of that a document
+    raises ``DataError`` for a missing key, k < 1, an eta that is neither
+    "inf" nor a positive number, a ``partition_kind`` or ``algorithm`` that
+    is not one of the known names, an interval whose closed flag is not a
+    boolean or that is reversed or does not start where the previous one
+    ends, a tangent row off unit norm by more than 1e-9, an assignment
+    outside [0, J), or counts of an unsplit model that are not its level-set
+    sizes.  Its own checks raise their ``DataError`` as it is; a structure
     the casts reject is reported as a malformed document.
     """
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {doc.get('version')!r}")
-    missing = [key for key in _MODEL_KEYS if key not in doc]
+    missing = [key for key in ("partition_kind", "eta", *_FIELDS) if key not in doc]
     if missing:
         raise DataError(f"model document lacks {', '.join(missing)}")
+    arrays, dims = {}, {}
     try:
-        numbers = {key: doc[key] for key in _NUMBER_DEPTHS}
-        numbers["intervals"] = [interval[:2] for interval in doc["intervals"]]
-        if isinstance(doc["eta"], str):  # "inf", read by _eta_from_json
-            del numbers["eta"]
-        for key, value in numbers.items():
+        values = dict(doc, intervals=[[lower, upper] for lower, upper, _ in doc["intervals"]])
+        for key, (depth, kind, shape) in _FIELDS.items():
             # a cast would read a boolean as 0 or 1 and a string by its digits
-            strays = _entry_types(value, _NUMBER_DEPTHS[key]) - {int, float}
+            strays = _entry_types(values[key], depth) - {int, float}
             if strays:
                 kinds = " or ".join(sorted(_JSON_KINDS.get(t, t.__name__) for t in strays))
                 raise DataError(f"model {key} holds a JSON {kinds} where a number belongs")
-        intervals = tuple(
-            ResponseInterval(float(lo), float(hi), closed) for lo, hi, closed in doc["intervals"]
-        )
-        assignment = _whole_numbers(doc["tangent_assignment"], "tangent_assignment")
-        tangents = TangentField(
-            vectors=np.asarray(doc["tangents"], dtype=np.float64),
-            level_means_x=np.asarray(doc["level_means_x"], dtype=np.float64),
-            level_means_y=np.asarray(doc["level_means_y"], dtype=np.float64),
-            counts=_whole_numbers(doc["counts"], "counts"),
-        )
-        train = Dataset(
-            np.asarray(doc["train_features"], dtype=np.float64),
-            np.asarray(doc["train_responses"], dtype=np.float64),
-        )
-        k = _whole_numbers(doc["k"], "k")
-        eta = _eta_from_json(doc["eta"])
+            arr = np.asarray(values[key], dtype=np.float64)
+            if kind is int:
+                limit = float(np.iinfo(np.intp).max)  # 2^63 - 1 rounds up to 2^63
+                if not np.all((arr == np.trunc(arr)) & (np.abs(arr) < limit)):
+                    raise DataError(
+                        f"model {key} must hold whole numbers below {limit:.3g} in magnitude"
+                    )
+                arr = arr.astype(np.intp)
+            elif not np.isfinite(arr).all():
+                raise DataError(f"model {key} holds a number that is not finite")
+            if arr.ndim != len(shape) or arr.shape != tuple(
+                dims.setdefault(size, n) if isinstance(size, str) else size
+                for size, n in zip(shape, arr.shape)
+            ):
+                raise DataError(f"model {key} of shape {arr.shape} is not {shape} for {dims}")
+            arrays[key] = arr
+        eta = doc["eta"]
+        if eta != "inf" and (type(eta) not in (int, float) or not eta > 0):
+            raise DataError(f'model eta must be "inf" or a positive number, got {eta!r}')
+        eta = float(eta)  # float("inf") is inf
     except DataError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
-    k = int(k)  # a JSON number, so one whole number
+    k = int(arrays["k"])
     if k < 1:
         raise DataError(f"model k must be >= 1, got {k}")
-    if not eta > 0:
-        raise DataError(f"model eta must be positive, got {eta}")
     partition_kind = doc["partition_kind"]
     algorithm = doc.get("algorithm", "unsplit")
     if partition_kind not in PARTITION_KINDS:
         raise DataError(f"model partition_kind {partition_kind!r} is not one of {PARTITION_KINDS}")
     if algorithm not in ALGORITHMS:
         raise DataError(f"model algorithm {algorithm!r} is not one of {ALGORITHMS}")
+    intervals = tuple(
+        ResponseInterval(float(lower), float(upper), closed)
+        for (lower, upper), (_, _, closed) in zip(arrays["intervals"], doc["intervals"])
+    )
     for j, iv in enumerate(intervals):
         if not isinstance(iv.closed_upper, bool):
             raise DataError(f"interval {j} closed flag {iv.closed_upper!r} is not true or false")
@@ -509,29 +501,17 @@ def model_from_dict(doc: dict) -> FittedNsim:
                 f"interval {j} starts at {iv.lower}, not at the previous upper bound "
                 f"{intervals[j - 1].upper}"
             )
-    j_count = len(intervals)
-    expected_shapes = {
-        "tangents": (tangents.vectors, (j_count, train.d)),
-        "level_means_x": (tangents.level_means_x, (j_count, train.d)),
-        "level_means_y": (tangents.level_means_y, (j_count,)),
-        "counts": (tangents.counts, (j_count,)),
-    }
-    for key, (arr, shape) in expected_shapes.items():
-        if arr.shape != shape:
-            raise DataError(
-                f"{key} of shape {arr.shape} does not fit {j_count} level sets "
-                f"in dimension {train.d}"
-            )
+    tangents = TangentField(
+        arrays["tangents"], arrays["level_means_x"], arrays["level_means_y"], arrays["counts"]
+    )
+    train = Dataset(arrays["train_features"], arrays["train_responses"])
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the test below
         norms = np.linalg.norm(tangents.vectors, axis=1)
     off_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
     if off_unit.size:
         j = off_unit[0]
         raise DataError(f"tangent row {j} has norm {norms[j]}, not 1")
-    if assignment.shape != (train.n,):
-        raise DataError(
-            f"tangent_assignment has shape {assignment.shape} for {train.n} training rows"
-        )
+    assignment, j_count = arrays["tangent_assignment"], len(intervals)
     if assignment.min() < 0 or assignment.max() >= j_count:
         raise DataError(f"tangent_assignment entries must lie in [0, {j_count})")
     sizes = np.bincount(assignment, minlength=j_count)
@@ -546,7 +526,7 @@ def model_from_dict(doc: dict) -> FittedNsim:
     else:
         groups = member_groups(assignment, j_count)
     return FittedNsim(
-        partition=ResponsePartition(intervals, groups),
+        partition=ResponsePartition(intervals, groups, assignment),
         tangents=tangents,
         train=train,
         k=k,

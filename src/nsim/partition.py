@@ -41,25 +41,16 @@ class ResponseInterval:
 
 @dataclass(frozen=True)
 class ResponsePartition:
-    """Ordered response intervals plus the induced sample-index groups."""
+    """Ordered response intervals plus the induced sample-index groups;
+    ``member[i]`` is the index of the group that holds sample i."""
 
     intervals: tuple[ResponseInterval, ...]
     groups: tuple[np.ndarray, ...]
+    member: np.ndarray
 
     @property
     def n_groups(self) -> int:
         return len(self.intervals)
-
-    @property
-    def n_samples(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def sample_groups(self) -> np.ndarray:
-        """Inverse map: entry i is the group index containing sample i."""
-        out = np.empty(self.n_samples, dtype=np.intp)
-        for j, idx in enumerate(self.groups):
-            out[idx] = j
-        return out
 
 
 def member_groups(member: np.ndarray, j_count: int) -> tuple[np.ndarray, ...]:
@@ -112,7 +103,7 @@ def dyadic_partition(responses, j_count: int) -> ResponsePartition:
     starts = np.searchsorted(arr[order], edges[1:j_count], side="left")
     member = np.empty(arr.size, dtype=np.intp)
     member[order] = np.cumsum(np.bincount(starts, minlength=arr.size + 1)[: arr.size])
-    return ResponsePartition(_intervals_from_edges(edges), member_groups(member, j_count))
+    return ResponsePartition(_intervals_from_edges(edges), member_groups(member, j_count), member)
 
 
 def equiblock_partition(responses, j_count: int) -> ResponsePartition:
@@ -140,6 +131,8 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     sizes = [base + 1] * extra + [base] * (j_count - extra)
     splits = np.cumsum(sizes[:-1], dtype=np.intp)
     groups = tuple(np.split(order, splits))
+    member = np.empty(n, dtype=np.intp)
+    member[order] = np.repeat(np.arange(j_count), sizes)
 
     below, above = arr[order[splits - 1]], arr[order[splits]]
     with np.errstate(over="ignore"):
@@ -151,4 +144,4 @@ def equiblock_partition(responses, j_count: int) -> ResponsePartition:
     # the midpoint of adjacent doubles can round down onto the lower one,
     # which would leave it outside its right-open interval
     edges[1:-1] = np.where((mid <= below) & (below < above), above, mid)
-    return ResponsePartition(_intervals_from_edges(edges), groups)
+    return ResponsePartition(_intervals_from_edges(edges), groups, member)

@@ -158,3 +158,19 @@ def test_main_prints_the_regression_verdict(capsys, tmp_path, monkeypatch):
         ["probe_median_s", "parent", "0.0028", "change", "0.004"]]
     out = json.loads((tmp_path / "pairs.json").read_text())
     assert out["summary"]["fit-sweep"]["trace0"]["raw_wall_s"]["regression"] == "regressed"
+
+
+def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(tmp_path,
+                                                                           monkeypatch):
+    for side in ("parent", "changed"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text('{"end_to_end": [], "per_layer": []}')
+
+    def no_run(*args):
+        raise AssertionError("a perfbench run started")
+
+    monkeypatch.setattr(pairs, "perfbench", no_run)
+    with pytest.raises(SystemExit, match="differ in length"):
+        pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "changed"),
+                    "--workload", "fit-sweep", "--seeds", "1", "--out", str(tmp_path / "p.json")])
+    assert not (tmp_path / "p.json").exists()

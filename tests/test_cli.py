@@ -432,6 +432,13 @@ MODEL_CORRUPTIONS = {
     ),
     # counts that are not the level-set sizes of the assignment
     "counts-not-level-set-sizes": lambda doc: doc.update(counts=[1] * len(doc["counts"])),
+    # json writes NaN and Infinity, and reads them back; these used to load
+    "level-means-x-nan": lambda doc: doc["level_means_x"][0].__setitem__(0, math.nan),
+    "level-means-y-infinity": lambda doc: doc["level_means_y"].__setitem__(0, math.inf),
+    "interval-bound-infinity": lambda doc: doc["intervals"][-1].__setitem__(1, math.inf),
+    # a whole number past the float range used to escape the cast as OverflowError
+    "k-past-float-range": lambda doc: doc.update(k=10**400),
+    "eta-past-float-range": lambda doc: doc.update(eta=10**400),
 }
 
 
@@ -830,20 +837,28 @@ def _model_paths(doc) -> list:
 
 _VALID_MODEL = _fitted_document()
 _MODEL_PATHS = _model_paths(_VALID_MODEL)
+# ``repr`` stands for the entry's own repr: a number in string form
 _FUZZ_VALUES = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 2**70, "x", "inf", "false",
-                [], [[]], {}]
+                [], [[]], {}, repr]
 
 
-def _replace(doc, path, value):
-    """Set the entry of ``doc`` at ``path`` to ``value``; a path that an
-    earlier replacement removed is left as it is."""
+def _replace(doc, path, value) -> bool:
+    """Set the entry of ``doc`` at ``path`` to ``value``, or to its own
+    ``repr`` when ``value`` is ``repr``; return whether that put a string
+    where a JSON number stood.  A path that an earlier replacement removed
+    is left as it is."""
     *parents, last = path
     try:
         for part in parents:
             doc = doc[part]
-        doc[last] = value
+        if value is repr:
+            number = type(doc[last]) in (int, float)
+            doc[last] = repr(doc[last])
+            return number
+        doc[last] = json.loads(json.dumps(value))  # a fresh copy of a pooled list
     except (IndexError, KeyError, TypeError):
         pass
+    return False
 
 
 @settings(max_examples=150, deadline=None)
@@ -852,10 +867,17 @@ def _replace(doc, path, value):
 ))
 # a k past int64 used to wrap to a negative number, with a RuntimeWarning
 @example(edits=[(("k",), 2**70)])
+@example(edits=[(("tangent_assignment", -1), repr)])
+@example(edits=[(("train_features", 0, 0), repr), (("k",), 2)])
 def test_corrupted_model_fields_exit_with_a_code(tmp_path_factory, edits):
     doc = json.loads(json.dumps(_VALID_MODEL))
+    as_strings = []  # paths where a number's string form now stands
     for path, value in edits:
-        _replace(doc, path, json.loads(json.dumps(value)))  # a fresh copy of a pooled list
+        # the paths draw 0 and -1 from lists of two or more entries, so an
+        # edit overwrites an earlier one only at the same path or inside it
+        as_strings = [p for p in as_strings if p[: len(path)] != path]
+        if _replace(doc, path, value):
+            as_strings.append(path)
     tmp = tmp_path_factory.mktemp("fuzzed")
     model = tmp / "m.json"
     model.write_text(json.dumps(doc))
@@ -865,7 +887,7 @@ def test_corrupted_model_fields_exit_with_a_code(tmp_path_factory, edits):
         # an uncaught error fails the test
         code = main(["predict", "--model", str(model), "--data", str(queries),
                      "--out", str(tmp / "p.csv")])
-    assert code in (0, 2), edits
+    assert code == 2 if as_strings else code in (0, 2), edits
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], edits
 
 

@@ -1,11 +1,11 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsim import estimator, search
@@ -418,7 +418,7 @@ def split_problems(draw):
 
 
 def brute_force_split_assignment(geometry, prediction, split):
-    geo_groups = split.partition.sample_groups()
+    geo_groups = split.partition.member
     rows = split.tangents.vectors[geo_groups]
     out = []
     for x in prediction.features:
@@ -481,7 +481,7 @@ class TestFitSplit:
         geometry, _ = synth(n=120, seed=3)
         prediction, _ = synth(n=40, seed=6)
         split = fit_split(geometry, prediction, 2, 1, eta=0.5)
-        geo_groups = split.partition.sample_groups()
+        geo_groups = split.partition.member
         rows = split.tangents.vectors[geo_groups]
         for ell in range(prediction.n):
             dist = proxy_distances(prediction.features[ell], geometry.features, rows, 0.5)
@@ -750,6 +750,25 @@ class TestBaselineLinreg:
         )
 
 
+def assert_same_fields(mine, theirs, skip=()):
+    """Every field of two dataclasses equal, arrays and tuples of arrays
+    entry by entry, nested dataclasses field by field; fields named in
+    ``skip`` are left out at every level."""
+    for field in fields(theirs):
+        if field.name in skip:
+            continue
+        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+        if is_dataclass(b):
+            assert_same_fields(a, b, skip)
+        elif isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        elif isinstance(b, tuple) and b and isinstance(b[0], np.ndarray):
+            assert len(a) == len(b), field.name
+            assert all(np.array_equal(p, q) for p, q in zip(a, b)), field.name
+        else:
+            assert a == b, field.name
+
+
 class TestSerialization:
     def test_round_trip_reproduces_predictions(self):
         dataset, _ = synth(n=90, seed=55, c=0.1)
@@ -774,6 +793,31 @@ class TestSerialization:
         assert restored.algorithm == "split"
         queries = np.random.default_rng(8).normal(size=(30, 4))
         assert np.array_equal(predict_many(restored, queries), predict_many(model, queries))
+
+    @given(
+        kind=st.sampled_from(["dyadic", "equiblock"]),
+        j_count=st.integers(1, 5),
+        n=st.integers(12, 60),
+        decimals=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_json_round_trip_restores_every_field(self, kind, j_count, n, decimals, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2 * n, 3))
+        # rounded responses: runs of equal values inside and across level sets
+        data = Dataset(x, np.round(x[:, 0] + 0.5 * x[:, 1], decimals))
+        geometry, prediction = data.subset(np.arange(n)), data.subset(np.arange(n, 2 * n))
+        try:
+            plain = fit(data, j_count, 3, eta=0.5, partition_kind=kind)
+            split = fit_split(geometry, prediction, j_count, 2, eta=math.inf, partition_kind=kind)
+        except InfeasibleFitError:
+            assume(False)
+        for model, skip in ((plain, ()), (split, ("groups", "member"))):
+            restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+            # a loaded split model's groups and members index the prediction
+            # half, the fitted one's the geometry half
+            assert_same_fields(restored, model, skip)
 
     @pytest.mark.parametrize("kind", ["dyadic", "equiblock"])
     def test_saved_model_reloads_its_groups(self, tmp_path, kind):

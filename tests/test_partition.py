@@ -125,7 +125,7 @@ class TestNearFloatMax:
         assert all(lo < up for lo, up in zip(lower, upper))
         assert lower[1:] == upper[:-1]
         assert (lower[0], upper[-1]) == (min(responses), max(responses))
-        member = part.sample_groups()
+        member = part.member
         for i, y in enumerate(responses):
             iv = part.intervals[member[i]]
             assert iv.lower <= y and (y <= iv.upper if iv.closed_upper else y < iv.upper)
@@ -137,11 +137,11 @@ class TestLocate:
 
     def test_interior_point(self):
         part = dyadic_partition(np.append(np.linspace(0, 1, 50), 0.45), 5)
-        assert part.sample_groups()[-1] == 2
+        assert part.member[-1] == 2
 
     def test_shared_boundary_goes_up(self):
         part = dyadic_partition([0.0, 0.25, 0.5, 0.75, 1.0], 4)
-        assert part.sample_groups()[2] == 2
+        assert part.member[2] == 2
 
 
 @st.composite
@@ -190,7 +190,7 @@ class TestPartitionProperties:
         ):
             inner = np.array([iv.lower for iv in part.intervals[1:]])
             located = np.searchsorted(inner, responses, side="right")
-            assert np.array_equal(located, part.sample_groups())
+            assert np.array_equal(located, part.member)
 
     @given(responses_and_j(unique=True))
     @example((np.array([1.0, np.nextafter(1.0, 2.0)]), 2))  # midpoint rounds onto 1.0
@@ -206,7 +206,7 @@ class TestPartitionProperties:
             dyadic_partition(responses, j_count),
             equiblock_partition(responses, j_count),
         ):
-            member = part.sample_groups()
+            member = part.member
             for i, y in enumerate(responses):
                 iv = part.intervals[member[i]]
                 assert iv.lower <= y and (y <= iv.upper if iv.closed_upper else y < iv.upper)
@@ -266,8 +266,12 @@ class TestPartitionOracle:
     @settings(max_examples=300, deadline=None)
     def test_heavy_ties(self, case):
         responses, j_count = case
-        assert_same_groups(
-            equiblock_partition(responses, j_count).groups, equiblock_oracle(responses, j_count)
+        blocks = equiblock_partition(responses, j_count)
+        assert_same_groups(blocks.groups, equiblock_oracle(responses, j_count))
+        # member names the block of each sample
+        sizes = [len(g) for g in blocks.groups]
+        assert np.array_equal(
+            blocks.member[np.concatenate(blocks.groups)], np.repeat(np.arange(j_count), sizes)
         )
         if j_count > 1 and responses.min() == responses.max():
             with pytest.raises(DataError, match="degenerate response range"):
@@ -276,7 +280,7 @@ class TestPartitionOracle:
         part = dyadic_partition(responses, j_count)
         member = dyadic_member(responses, part)
         assert_same_groups(part.groups, oracle_groups(member, j_count))
-        assert np.array_equal(part.sample_groups(), member)
+        assert np.array_equal(part.member, member)
 
     @pytest.mark.parametrize(
         "n, j_count, pool_size",

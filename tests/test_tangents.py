@@ -279,7 +279,7 @@ class TestAssignTangent:
     def test_every_sample_matches_its_group(self):
         data, _ = line_dataset(n=90)
         model = fit(data, 3, 1, partition_kind="equiblock")
-        member = model.partition.sample_groups()
+        member = model.partition.member
         for i in range(data.n):
             assert np.array_equal(model.tangent_rows()[i], model.tangents.vectors[member[i]])
 
