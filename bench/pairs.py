@@ -18,7 +18,10 @@ metric of the result line, with ``raw_wall_s`` and ``raw_setup_s`` from the
 report beside them, and the claim verdict of every metric.  Each run's
 median probe time (the median of the report's ``probe_medians``) goes in as
 ``probe_median_s`` with its quartiles and no verdict: a timing scaled by the
-probe can move with the probe's speed alone.
+probe can move with the probe's speed alone.  A run that exits non-zero is
+recorded with its exit code and the tail of its stderr, its pair is left
+out of the summary, the remaining runs go on, and the script still writes
+``--out`` and then exits 1.
 
 A claim holds when the change is better in at least nine tenths of the
 pairs (ties count for neither side) and the medians differ, in the change's
@@ -46,6 +49,7 @@ RAW = ("raw_wall_s", "raw_setup_s")  # scaled only in the report; lower is bette
 SCALED = {"raw_wall_s": "wall_s", "raw_setup_s": "setup_s"}
 PROBE = "probe_median_s"  # no nsim code runs in the probe, so it gets no verdict
 SIDES = ("parent", "change")
+STDERR_LINES = 20  # kept of a failed run's stderr
 
 
 def parse_run(stdout: str) -> dict:
@@ -156,12 +160,15 @@ def parse_seeds(text: str) -> list:
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The parsed run, or for a run that exits non-zero its ``exit_code``
+    and the last ``STDERR_LINES`` lines of its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=600,
                           check=False)
     if proc.returncode != 0:
-        raise SystemExit(f"pairs: {' '.join(argv[1:])} failed in {checkout}:\n{proc.stderr}")
+        return {"exit_code": proc.returncode,
+                "stderr_tail": "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])}
     return parse_run(proc.stdout)
 
 
@@ -190,11 +197,16 @@ def main(argv=None) -> int:
                 pair = {}
                 for side in order:
                     run = perfbench(checkouts[side], workload, seed, trace)
+                    record = {"workload": workload, "seed": seed, "trace": trace, "side": side,
+                              "went_first": side == order[0]}
+                    if "exit_code" in run:
+                        runs.append({**record, **run})
+                        continue
                     pair[side] = run_metrics(run)
-                    runs.append({"workload": workload, "seed": seed, "trace": trace, "side": side,
-                                 "went_first": side == order[0], "correct": run["result"]["correct"],
+                    runs.append({**record, "exit_code": 0, "correct": run["result"]["correct"],
                                  "failed": run["result"]["failed"], "stdout_tail": run})
-                workloads.setdefault(workload, {}).setdefault(f"trace{trace}", []).append(pair)
+                if len(pair) == len(SIDES):
+                    workloads.setdefault(workload, {}).setdefault(f"trace{trace}", []).append(pair)
 
     summary = {w: {t: summarize(pairs, better, bound) for t, pairs in modes.items()}
                for w, modes in workloads.items()}
@@ -218,9 +230,10 @@ def main(argv=None) -> int:
             if PROBE in metrics:
                 print(f"{workload:15s} {mode} {PROBE} parent {metrics[PROBE]['parent']['median']:.6g}"
                       f" change {metrics[PROBE]['change']['median']:.6g}")
-    failed = sum(not r["correct"] for r in runs)
-    print(f"runs {len(runs)}, not correct {failed}")
-    return 1 if failed else 0
+    crashed = sum(r["exit_code"] != 0 for r in runs)
+    wrong = sum(not r["correct"] for r in runs if r["exit_code"] == 0)
+    print(f"runs {len(runs)}, exited non-zero {crashed}, not correct {wrong}")
+    return 1 if crashed or wrong else 0
 
 
 if __name__ == "__main__":

@@ -20,13 +20,13 @@ eta) computes each query chunk's q.x block once, O(N D) per query, into one
 scratch buffer; a proxy search at eta infinite computes none.  A proxy search
 walks the sorted-offset index (``_indexed_picks``, Dynamic Continuous
 Indexing after Li and Malik, 2016, with the metric as the projection): O(J
-log N) per doubling of its windows, plus a proxy distance (and at a finite
+log N) per growth of its windows, plus a proxy distance (and at a finite
 eta a radius test) for each row that enters them, plus one partial selection
-per doubling and one sort of the k nearest.  At eta infinite every row is in
+per growth and one sort of the k nearest.  At eta infinite every row is in
 the radius and the walk is the whole search, a merge of the J sorted offset
 lists, O(J log N + k) per query when the offsets are spread evenly.  At a
 finite eta it runs while 16 max(ks) < N, and reads about 23 rows per walked
-query for k = 1, 125 for k = 32 and 1000 for k = 323 on the perfbench helix
+query for k = 1, 75 for k = 32 and 460 for k = 323 on the perfbench helix
 at eta = 0.5.  One loop ranks every query a Euclidean read leaves to it,
 O(N) each, by ``_smallest`` over the expanded Euclidean row: the kNN
 baseline, and at a finite eta the queries the walk does not settle, whose
@@ -46,12 +46,11 @@ from .errors import DataError
 
 _CHUNK_BUDGET = 4_000_000  # floats per query chunk's scratch blocks
 
-# At a finite eta a proxy search walks the sorted-offset index while its
-# first windows, 16 max(ks) / N of eta wide, are narrower than eta, and a
-# query leaves the walk for the loop once its windows would hold more than
-# max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * max(ks)) rows
-# (``_walk_rows``).  At eta infinite the walk has no such bound and no query
-# leaves it.  Against the loop that ranked every row there before, it took
+# At a finite eta a proxy search walks the sorted-offset index while
+# 16 max(ks) < N, and a query leaves the walk for the loop once its windows
+# would hold more than max(N / _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K *
+# max(ks)) rows (``_walk_rows``).  At eta infinite the walk has no such
+# bound and no query leaves it.  Against the loop that ranked every row there before, it took
 # 0.04-0.43 of the loop's time with J = 8 and 0.09-0.25 with J = 364, for k
 # from 1 to 1000 on the helix and on Gaussian features (``rule_table`` in
 # BENCH_6.json); for larger k (1000 queries on the helix, best of 5 to 15
@@ -77,11 +76,34 @@ _CHUNK_BUDGET = 4_000_000  # floats per query chunk's scratch blocks
 # 12, 1000 queries) it took 0.72-1.36 of the loop's time for k = 1 and 32
 # (the previous walk 0.69-1.55) and 1.11-1.41 for k = 323, which the
 # previous rule sent to the loop.
+#
+# The table was measured with first windows of 16 k / N of eta that
+# doubled.  Now they start at max(16, 8 k) / N of eta, about k to 3 k rows
+# on the helix, and after each round a query's windows grow by 1.5 k over
+# the in-radius rows it holds, 2- to 8-fold: big steps where the yield is
+# thin, small ones where it is rich.  At k = 1 that is the old start and
+# doubling, so fit_split walks as before.  On the helix above (2000 queries,
+# eta = 0.5, best of 5, two alternating processes per side), rows gathered
+# per walked query and time, old schedule -> new:
+#
+#   k       1              32             323            1000
+#   rows    23 -> 23       115 -> 75      898 -> 459     2670 -> 1396
+#   s       0.086-0.092    0.080-0.083    0.138-0.145    0.43-0.49
+#        -> 0.089-0.092 -> 0.071-0.073 -> 0.112-0.114 -> 0.21-0.24
+#
+# At eta = 0.3 and k = 1000 an 8-fold step can overshoot the bound: 1715 of
+# the 2000 queries leave for the loop (195 before), 0.27-0.28 s against
+# 0.20 s.  At eta infinite the growth stays 2-fold: the yield growth there
+# ran 1.1-1.3 times slower at k = 323 and 1024, its inf-padded block wider.
 _INDEX_ROWS_PER_K = 4
 _INDEX_WINDOW_DIVISOR = 32
+_FIRST_WINDOW_ROWS = 16
+_FIRST_WINDOW_ROWS_PER_K = 8
+_GROWTH_ROWS_PER_K = 1.5
+_GROWTH_RANGE = (2.0, 8.0)
 
 _EPS = float(np.finfo(np.float64).eps)
-_MAX_RADIUS = float(np.finfo(np.float64).max) / 4  # a radius that doubles stays finite
+_MAX_RADIUS = float(np.finfo(np.float64).max) / 16  # a radius grown 8-fold stays finite
 
 
 def _query_chunks(n_queries: int, per_query: int):
@@ -176,8 +198,9 @@ def _slab(index: ProxyIndex, eta: float, q_sq, c_sq_max: float, d: int) -> np.nd
 def _walk_rows(k_max: int, n: int) -> int:
     """The rows a query's windows may hold before it leaves the
     sorted-offset walk for the loop at a finite eta; 0 when the walk does
-    not run, at 16 k >= N, where its first windows, 16 k / N of eta, would
-    be no narrower than eta."""
+    not run, at 16 k >= N, where its first windows, max(16, 8 k) / N of
+    eta, would span half of eta or more and the bound, 4 k rows, a quarter
+    of N or more."""
     if 16 * k_max >= n:
         return 0
     return max(n // _INDEX_WINDOW_DIVISOR, _INDEX_ROWS_PER_K * k_max)
@@ -197,8 +220,11 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, proj, eta: float, k_max: int, 
     the walk is a merge of the J sorted offset lists.  The query is settled
     once its k-th in-radius distance lies below every row left out, or every
     row left out lies beyond its ``slab`` bound and so cannot pass the
-    radius test, or the windows hold every row; until then r doubles and
-    only the rows new to the windows are gathered.  Both
+    radius test, or the windows hold every row; until then r grows and
+    only the rows new to the windows are gathered.  At eta infinite r
+    starts at spread k / 2N and doubles; at a finite eta it starts at
+    max(16, 8 k) / N of eta and grows by 1.5 k over the query's in-radius
+    count, clipped to 2-8 fold.  Both
     checks read the nearest left-out row on each side of each window, which
     no row further out in offset order undercuts, so ties at the k-th place
     are gathered whole.  A query whose windows would hold more than
@@ -216,10 +242,13 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, proj, eta: float, k_max: int, 
     todo = np.arange(m)
     if math.isinf(eta):  # windows that would hold about k rows were the offsets spread evenly
         start = index.spread * k_max / (2 * n)
-    else:  # 16 k / N of eta, a few times k rows for data near a curve
-        start = min(eta, _MAX_RADIUS) * min(1.0, 16.0 * k_max / n)
+        least, most = 2.0, 2.0  # every row is in the radius: the windows double
+    else:  # max(16, 8 k) / N of eta, about k to 3 k rows for data near a curve
+        first_rows = max(_FIRST_WINDOW_ROWS, _FIRST_WINDOW_ROWS_PER_K * k_max)
+        start = min(eta, _MAX_RADIUS) * min(1.0, first_rows / n)
+        least, most = _GROWTH_RANGE
     # a width of 0 (equal offsets, or a product that rounds to 0) would never
-    # grow by doubling: one window then holds every row
+    # grow: one window then holds every row
     radius = np.full(m, start if start > 0 else np.inf)
     lo_was = hi_was = None  # the windows of the round before
     # per query in todo: its in-radius rows so far, their distances (inf
@@ -297,7 +326,9 @@ def _indexed_picks(index: ProxyIndex, gram, q_sq, proj, eta: float, k_max: int, 
             )
         lo_was, hi_was = lo, hi
         limit = np.minimum(slab[todo], _MAX_RADIUS)
-        radius[todo] = np.where(radius[todo] < limit, radius[todo], np.inf) * 2.0
+        # grow each window towards _GROWTH_ROWS_PER_K k in-radius rows
+        growth = np.clip(_GROWTH_ROWS_PER_K * k_max / np.maximum(count, 1), least, most)
+        radius[todo] = np.where(radius[todo] < limit, radius[todo], np.inf) * growth
     return picks, takes, np.concatenate(rest)
 
 
@@ -306,9 +337,10 @@ def _nearest_first(dists, found, kth, k_max: int) -> np.ndarray:
     min(k_max, count) nearest in (distance, index) order, given ``kth``,
     the row's k-th distance (inf for fewer than k_max).  One partial
     selection keeps k_max places and one sort orders them; rows where two
-    kept distances are equal, or more than k_max lie at or below ``kth``,
-    are ordered by distance, then index, from every entry at or below
-    ``kth``."""
+    kept distances are equal, or more than k_max lie at or below a finite
+    ``kth``, are ordered by distance, then index, from every entry at or
+    below ``kth``.  A row short of k_max keeps all its distances, so only a
+    tie among them sends it there, not its inf padding."""
     s, width = dists.shape
     if width > k_max:
         near = np.argpartition(dists, k_max - 1, axis=1)[:, :k_max]
@@ -320,7 +352,7 @@ def _nearest_first(dists, found, kth, k_max: int) -> np.ndarray:
     d, r = dists.ravel()[near], found.ravel()[near]
     tied = ((d[:, 1:] == d[:, :-1]) & (d[:, 1:] < np.inf)).any(axis=1)
     if width > k_max:
-        tied |= (dists <= kth[:, None]).sum(axis=1) > k_max
+        tied |= np.isfinite(kth) & ((dists <= kth[:, None]).sum(axis=1) > k_max)
     if tied.any():
         exact = np.where(dists[tied] <= kth[tied, None], dists[tied], np.inf)
         by_index = np.lexsort((found[tied], exact), axis=1)[:, : r.shape[1]]

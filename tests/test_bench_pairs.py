@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -174,3 +175,36 @@ def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(tmp_p
         pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "changed"),
                     "--workload", "fit-sweep", "--seeds", "1", "--out", str(tmp_path / "p.json")])
     assert not (tmp_path / "p.json").exists()
+
+
+def test_a_run_that_exits_non_zero_is_recorded_and_its_pair_left_out(tmp_path, monkeypatch,
+                                                                     capsys):
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+            "per_layer": []}
+    for side in pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    stderr = "\n".join(f"line {i}" for i in range(30)) + "\n"
+
+    def run(argv, cwd, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        if cwd.name == "change" and seed == 2:
+            return subprocess.CompletedProcess(argv, 3, stdout="", stderr=stderr)
+        return subprocess.CompletedProcess(argv, 0, stdout=canned_stdout(0.2 + seed, 0.3),
+                                           stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    code = pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                       "--workload", "fit-sweep", "--seeds", "1-3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "runs 6, exited non-zero 1, not correct 0"
+    doc = json.loads(out.read_text())
+    assert [(r["seed"], r["side"], r["exit_code"]) for r in doc["runs"]] == [
+        (1, "change", 0), (1, "parent", 0), (2, "parent", 0), (2, "change", 3),
+        (3, "change", 0), (3, "parent", 0)]
+    failed = doc["runs"][3]
+    assert failed["stderr_tail"] == "\n".join(f"line {i}" for i in range(10, 30))
+    assert "correct" not in failed and "stdout_tail" not in failed
+    wall = doc["summary"]["fit-sweep"]["trace0"]["wall_s"]
+    assert wall["parent"]["n"] == 2 and wall["parent"]["median"] == pytest.approx(2.2)

@@ -88,20 +88,21 @@ def clustered_helix(d, n_base, seed, eta):
 
 
 @st.composite
-def shifted_helix_problems(draw):
+def shifted_helix_problems(draw, etas=(0.01, 0.5, math.inf)):
     """Float rows near a helix in D = 4..8, all moved by one random shift of
-    up to 1e6 per feature, and a fitted model.  The queries lie on the tube,
-    off it (radius 0.6 and 1.0) and far from it, so short-of-k queries and
-    Euclidean fallbacks occur, and within 2 eta of training rows, where the
-    expanded radius test rounds either way (at eta infinite, within 2 of
-    them).  The k grids reach N / 8, N / 2, N and N + 3; at a finite eta
-    windows outgrow a bound of 32 rows and queries leave the walk."""
+    up to 1e6 per feature, and a model fitted at one of ``etas``.  The
+    queries lie on the tube, off it (radius 0.6 and 1.0) and far from it, so
+    short-of-k queries and Euclidean fallbacks occur, and within 2 eta of
+    training rows, where the expanded radius test rounds either way (at eta
+    infinite, within 2 of them).  The k grids reach N / 8, N / 2, N and
+    N + 3; at a finite eta windows outgrow a bound of 32 rows and queries
+    leave the walk."""
     d = draw(st.integers(4, 8))
     n_base = draw(st.integers(30, 130))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.uniform(-1.0, 1.0, d)
-    eta = draw(st.sampled_from([0.01, 0.5, math.inf]))
+    eta = draw(st.sampled_from(etas))
     train, near = clustered_helix(d, n_base, seed, min(eta, 1.0))
     queries = np.vstack([
         near[: draw(st.integers(0, 30))],
@@ -129,6 +130,36 @@ def test_index_matches_radius_first_loop_bit_for_bit(problem):
     model, queries, ks, budget, bound = problem
     train = model.train
     with mock.patch.object(search, "_CHUNK_BUDGET", budget):
+        got = indexed_means(
+            queries, train.responses, ks, model.proxy_index, model.eta, bound
+        )
+        want = radius_first_means(
+            queries, train.features, train.responses, ks,
+            model.tangents.vectors, model.tangent_assignment, model.eta,
+        )
+    assert np.array_equal(got, want)
+
+
+# the finite-eta window schedule: first windows of max(16, 8 k) / N of eta,
+# then growth by the in-radius yield, against other starts and growths
+SCHEDULES = {
+    "16k-over-n-doubling": {"_FIRST_WINDOW_ROWS": 16, "_FIRST_WINDOW_ROWS_PER_K": 16,
+                            "_GROWTH_RANGE": (2.0, 2.0)},
+    "8-fold-growth": {"_GROWTH_RANGE": (8.0, 8.0)},
+    "eta-over-n-start": {"_FIRST_WINDOW_ROWS": 1, "_FIRST_WINDOW_ROWS_PER_K": 0},
+}
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
+@given(problem=shifted_helix_problems(etas=(0.01, 0.5)))
+@settings(max_examples=100, deadline=None)
+def test_picks_do_not_depend_on_the_window_schedule(schedule, problem):
+    """The walk settles a query only on what no row left out can undercut,
+    so any start and growth of its windows picks the loop's rows."""
+    model, queries, ks, budget, bound = problem
+    train = model.train
+    with mock.patch.object(search, "_CHUNK_BUDGET", budget), \
+            mock.patch.multiple(search, **schedule):
         got = indexed_means(
             queries, train.responses, ks, model.proxy_index, model.eta, bound
         )
@@ -314,8 +345,8 @@ def test_search_at_k_n_holds_less_than_the_loop_it_replaced():
 
 
 def test_walk_whose_first_windows_round_to_zero_ends_and_matches_the_loop():
-    """At eta = 5e-324, 16 k / N of eta rounds to 0, and a window of width 0
-    would never grow by doubling."""
+    """At eta = 5e-324, max(16, 8 k) / N of eta rounds to 0, and a window of
+    width 0 would never grow, whatever its growth factor."""
     rng = np.random.default_rng(2)
     x = rng.standard_normal((64, 3))
     vectors, assignment = np.eye(3)[:2], np.arange(64) % 2
@@ -385,3 +416,18 @@ def test_index_keeps_the_squared_row_norms_between_searches():
         again = estimator.predict_many(model, queries)
     assert not [c for c in einsum.call_args_list if any(a is data.features for a in c.args)]
     assert again.tobytes() == first.tobytes()
+
+
+def test_a_row_short_of_k_with_distinct_distances_skips_the_lexsort():
+    """Three in-radius rows in a block 6 wide, k = 4: the k-th distance is
+    inf, and the inf padding no longer counts as lying at or below it."""
+    dists = np.array([[0.3, 0.1, 0.2, np.inf, np.inf, np.inf]])
+    found = np.array([[7, 9, 2, 0, 0, 0]])
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort called")):
+        picks = search._nearest_first(dists, found, np.array([np.inf]), 4)
+    assert picks[0, :3].tolist() == [9, 2, 7]
+    # a tie among them still takes the lexsort, which puts the lower index first
+    dists[0, 0] = 0.1
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        picks = search._nearest_first(dists, found, np.array([np.inf]), 4)
+    assert lexsort.call_count == 1 and picks[0, :3].tolist() == [7, 9, 2]
